@@ -15,7 +15,6 @@
 #include "src/phy/channel.h"
 #include "src/phy/neighbor_index.h"
 #include "src/phy/radio.h"
-#include "src/sim/event_queue.h"
 #include "src/prof/profiler.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/rng.h"
@@ -26,20 +25,29 @@ namespace {
 
 using namespace manet;
 
+// Bare-scheduler throughput on the shipped (calendar) queue. Arg 0 is the
+// event count; arg 1 selects the timer pattern: 0 = strictly increasing
+// times, 1 = ties mixed with spread-out timers like a real MAC/timer mix
+// (the calendar queue's bucket-sharing case).
 void BM_SchedulerScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const bool tieMix = state.range(1) != 0;
   for (auto _ : state) {
     sim::Scheduler sched;
     std::uint64_t sum = 0;
     for (int i = 0; i < n; ++i) {
-      sched.scheduleAt(sim::Time::micros(i), [&sum] { ++sum; });
+      const std::int64_t us = tieMix ? (i * 7) % (n / 4 + 1) : i;
+      sched.scheduleAt(sim::Time::micros(us), [&sum] { ++sum; });
     }
     sched.run();
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SchedulerScheduleRun)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_SchedulerScheduleRun)
+    ->Args({1000, 0})
+    ->Args({100000, 0})
+    ->Args({100000, 1});
 
 void BM_RouteCacheInsert(benchmark::State& state) {
   sim::Rng rng(1);
@@ -325,8 +333,7 @@ BENCHMARK(BM_SchedulerDispatchProfiled)->Arg(100000);
 
 // --- Engine-core hot-path machinery (PR 10) -------------------------------
 
-// Packet allocation through the pool vs the generic heap. Same call site
-// (Packet::make), only the process-wide pool switch differs.
+// Packet allocation through the pool (Packet::make's engine path).
 void BM_PacketMakePooled(benchmark::State& state) {
   const bool saved = net::PacketPool::enabled();
   net::PacketPool::setEnabled(true);
@@ -339,97 +346,37 @@ void BM_PacketMakePooled(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketMakePooled);
 
-void BM_PacketMakeHeap(benchmark::State& state) {
-  const bool saved = net::PacketPool::enabled();
-  net::PacketPool::setEnabled(false);
-  for (auto _ : state) {
-    auto p = net::Packet::make();
-    benchmark::DoNotOptimize(p);
-  }
-  net::PacketPool::setEnabled(saved);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketMakeHeap);
-
-// One neighborhood query against N radios: the full scan is O(N); the
-// grid visits only the candidate block around the transmitter.
-template <class Index>
-void neighborQueryBench(benchmark::State& state, Index& index,
-                        sim::Scheduler& sched,
-                        std::vector<std::unique_ptr<phy::Radio>>& radios) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const phy::Radio& tx = *radios[i++ % radios.size()];
-    std::uint64_t inRange = 0;
-    index.forEachInRange(tx.mobility().positionAt(sched.now()), 250.0,
-                         sched.now(), &tx,
-                         [&](phy::Radio&, double) { ++inRange; });
-    benchmark::DoNotOptimize(inRange);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["radios"] = static_cast<double>(radios.size());
-}
-
-struct NeighborBenchField {
+// One neighborhood query against N radios: the grid visits only the
+// candidate block around the transmitter.
+void BM_NeighborQueryGrid(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
   sim::Scheduler sched;
   phy::PhyConfig cfg;
   phy::Channel channel{sched, cfg};
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobs;
   std::vector<std::unique_ptr<phy::Radio>> radios;
-
-  explicit NeighborBenchField(int n) {
-    sim::Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      mobs.push_back(std::make_unique<mobility::StaticMobility>(Vec2{
-          rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)}));
-      radios.push_back(std::make_unique<phy::Radio>(
-          static_cast<net::NodeId>(i), *mobs.back(), channel, sched));
-    }
+  sim::Rng rng(42);
+  for (int i = 0; i < n; ++i) {
+    mobs.push_back(std::make_unique<mobility::StaticMobility>(
+        Vec2{rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)}));
+    radios.push_back(std::make_unique<phy::Radio>(
+        static_cast<net::NodeId>(i), *mobs.back(), channel, sched));
   }
-};
-
-void BM_NeighborQueryScan(benchmark::State& state) {
-  NeighborBenchField f(static_cast<int>(state.range(0)));
-  phy::ScanNeighborIndex scan(f.sched);
-  for (auto& r : f.radios) scan.attach(r.get());
-  neighborQueryBench(state, scan, f.sched, f.radios);
-}
-BENCHMARK(BM_NeighborQueryScan)->Arg(50)->Arg(500);
-
-void BM_NeighborQueryGrid(benchmark::State& state) {
-  NeighborBenchField f(static_cast<int>(state.range(0)));
-  phy::GridNeighborIndex grid(f.sched, 250.0, 20.0, sim::Time::seconds(1));
-  for (auto& r : f.radios) grid.attach(r.get());
-  neighborQueryBench(state, grid, f.sched, f.radios);
+  phy::GridNeighborIndex grid(sched, 250.0, 20.0, sim::Time::seconds(1));
+  for (auto& r : radios) grid.attach(r.get());
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const phy::Radio& tx = *radios[i++ % radios.size()];
+    std::uint64_t inRange = 0;
+    grid.forEachInRange(tx.mobility().positionAt(sched.now()), 250.0,
+                        sched.now(), &tx,
+                        [&](phy::Radio&, double) { ++inRange; });
+    benchmark::DoNotOptimize(inRange);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["radios"] = static_cast<double>(radios.size());
 }
 BENCHMARK(BM_NeighborQueryGrid)->Arg(50)->Arg(500);
-
-// Scheduler throughput on each event-queue implementation. The workload
-// mixes ties and spread-out timers like a real MAC/timer mix.
-void schedulerQueueBench(benchmark::State& state, sim::EventQueueKind kind) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Scheduler sched(kind);
-    std::uint64_t sum = 0;
-    for (int i = 0; i < n; ++i) {
-      sched.scheduleAt(sim::Time::micros((i * 7) % (n / 4 + 1)),
-                       [&sum] { ++sum; });
-    }
-    sched.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_SchedulerHeapQueue(benchmark::State& state) {
-  schedulerQueueBench(state, sim::EventQueueKind::kHeap);
-}
-BENCHMARK(BM_SchedulerHeapQueue)->Arg(100000);
-
-void BM_SchedulerCalendarQueue(benchmark::State& state) {
-  schedulerQueueBench(state, sim::EventQueueKind::kCalendar);
-}
-BENCHMARK(BM_SchedulerCalendarQueue)->Arg(100000);
 
 }  // namespace
 

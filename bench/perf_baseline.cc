@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/core/dsr_config.h"
-#include "src/net/packet_pool.h"
 #include "src/prof/bench_report.h"
 #include "src/prof/profiler.h"
 #include "src/scenario/runner.h"
@@ -39,14 +38,10 @@ struct NamedScenario {
   scenario::ScenarioConfig cfg;
 };
 
-// Every knob pinned explicitly — the baseline must not shift when MANET_*
-// env vars are set. Profiling on (that is what we are measuring with),
-// heartbeat off (stderr writes would pollute the timing). The engine-core
-// machinery (neighbor index, event queue, packet pool) is pinned to the
-// fast configuration; --engine legacy selects the pre-overhaul reference
-// machinery so the win stays measurable from the same binary.
-bool gLegacyEngine = false;
-
+// Every env-overridable knob pinned explicitly — the baseline must not
+// shift when MANET_* env vars are set. Profiling on (that is what we are
+// measuring with), heartbeat off (stderr writes would pollute the timing).
+// The engine (grid index, calendar queue, packet pool) has no selector.
 scenario::ScenarioConfig pinnedBase() {
   scenario::ScenarioConfig cfg;
   cfg.telemetry = telemetry::TelemetryConfig{};
@@ -56,11 +51,6 @@ scenario::ScenarioConfig pinnedBase() {
   cfg.prof.histograms = true;
   cfg.mobilitySeed = 11;
   cfg.trafficSeed = 42;
-  cfg.phy = phy::PhyConfig{};  // not fromEnv(): env must not shift timings
-  cfg.phy.neighborIndex = gLegacyEngine ? phy::NeighborIndexKind::kScan
-                                        : phy::NeighborIndexKind::kGrid;
-  cfg.eventQueue = gLegacyEngine ? sim::EventQueueKind::kHeap
-                                 : sim::EventQueueKind::kCalendar;
   return cfg;
 }
 
@@ -442,7 +432,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--quick] [--reps N] [--label L] [--out FILE]\n"
-      "          [--heatmap FILE] [--engine fast|legacy]\n"
+      "          [--heatmap FILE]\n"
       "          [--floor SCENARIO:SIM_SECONDS_PER_WALL_SECOND]...\n"
       "       %s --compare BASELINE CANDIDATE [--threshold T] "
       "[--report-only]\n"
@@ -473,13 +463,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      const std::string engine = argv[++i];
-      if (engine == "legacy") {
-        gLegacyEngine = true;
-      } else if (engine != "fast") {
-        return usage(argv[0]);
-      }
     } else if (arg == "--floor" && i + 1 < argc) {
       FloorSpec floor;
       if (!parseFloor(argv[++i], &floor)) return usage(argv[0]);
@@ -519,16 +502,11 @@ int main(int argc, char** argv) {
   }
   if (reps < 1) return usage(argv[0]);
 
-  // The packet pool is a process-wide switch, not a ScenarioConfig knob;
-  // pin it to match the selected engine.
-  net::PacketPool::setEnabled(!gLegacyEngine);
-
   prof::BenchReport report;
   report.label = label;
   const std::vector<NamedScenario> scenarios = canonicalScenarios(quick);
-  std::fprintf(stderr, "perf_baseline: %zu scenarios x %d reps (%s, %s)\n",
-               scenarios.size(), reps, quick ? "quick" : "full",
-               gLegacyEngine ? "legacy engine" : "fast engine");
+  std::fprintf(stderr, "perf_baseline: %zu scenarios x %d reps (%s)\n",
+               scenarios.size(), reps, quick ? "quick" : "full");
   std::string heatmap;
   for (const NamedScenario& ns : scenarios) {
     report.scenarios.push_back(

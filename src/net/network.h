@@ -28,10 +28,9 @@ struct NetworkConfig {
   Protocol protocol = Protocol::kDsr;
   core::DsrConfig dsr;
   aodv::AodvConfig aodv;
-  /// Pending-event set for the scheduler; both kinds dispatch in identical
-  /// (time, id) order, so this is purely a performance knob. The calendar
-  /// queue fits simulation workloads (dense near-future MAC events); a
-  /// bare Scheduler outside Network still defaults to the heap.
+  /// Pending-event set for the scheduler: the calendar queue, or the heap
+  /// test oracle (carried from ScenarioConfig::eventQueue). Not a tuning
+  /// knob — both dispatch in identical (time, id) order.
   sim::EventQueueKind eventQueue = sim::EventQueueKind::kCalendar;
 };
 

@@ -1,6 +1,6 @@
 #include "src/net/packet_pool.h"
 
-#include <cstdlib>
+#include "src/util/thread_annotations.h"
 
 namespace manet::net {
 
@@ -25,18 +25,12 @@ constexpr std::size_t roundUp(std::size_t bytes) {
   return (bytes + a - 1) / a * a;
 }
 
-bool initialEnabled() {
-  const char* v = std::getenv("MANET_POOL");  // NOLINT(concurrency-mt-unsafe)
-  if (v != nullptr && v[0] != '\0') return v[0] == '1';
-  return !kAsanBuild;
-}
-
 std::atomic<bool>& enabledFlag() {
-  // manet-lint: allow(shared-mutable): process-wide switch set once at
-  // startup (env default) or explicitly by tests/benchmarks; flipping it
-  // mid-run is safe because allocate_shared embeds the allocator, making
-  // every packet's deallocation path independent of the flag.
-  static std::atomic<bool> flag{initialEnabled()};
+  // manet-lint: allow(shared-mutable): process-wide switch, set only by
+  // tests (to run the unpooled oracle) and benchmarks (to pin the pool on);
+  // flipping it mid-run is safe because allocate_shared embeds the
+  // allocator, making every packet's deallocation path independent of it.
+  static std::atomic<bool> flag{!kAsanBuild};
   return flag;
 }
 

@@ -21,9 +21,10 @@
 //    because a run executes wholly on one thread and packets never
 //    outlive their run (Scenario owns everything transitively).
 //
-// Enabled by default except under AddressSanitizer, where recycling would
-// mask use-after-free of packet memory; MANET_POOL=0|1 overrides either
-// default, and benchmarks/tests can call setEnabled directly.
+// Always enabled except under AddressSanitizer, where recycling would mask
+// use-after-free of packet memory. setEnabled exists for tests, which run
+// plain heap allocation as the oracle the pool must match; it is not a
+// tuning knob.
 #pragma once
 
 #include <atomic>

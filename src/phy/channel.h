@@ -33,10 +33,10 @@ struct PhyConfig {
   double captureThreshold = 10.0;  // ns-2 CPThresh
   double pathLossExponent = 4.0;   // two-ray ground regime at these ranges
 
-  /// Which neighbor index the channel delivers broadcasts through. Both
-  /// kinds produce byte-identical runs (the grid confirms candidates with
-  /// exact distance checks and visits them in scan order); the grid makes
-  /// per-frame delivery O(in-range) instead of O(N).
+  /// Which neighbor index the channel delivers broadcasts through: the
+  /// grid, or the full-scan test oracle. Not a tuning knob: both produce
+  /// byte-identical runs (the grid confirms candidates with exact distance
+  /// checks and visits them in scan order).
   NeighborIndexKind neighborIndex = NeighborIndexKind::kGrid;
   /// Fastest node movement the grid plans for (m/s). Scenario raises it to
   /// the configured maxSpeed automatically; raise it manually when driving
@@ -44,10 +44,6 @@ struct PhyConfig {
   double indexSpeedBound = 50.0;
   /// How stale grid buckets may get before a query triggers a re-bucket.
   sim::Time indexRefreshPeriod = sim::Time::seconds(1);
-
-  /// `base` with the MANET_PHY_INDEX (scan|grid) override applied.
-  static PhyConfig fromEnv();
-  static PhyConfig fromEnv(PhyConfig base);
 };
 
 class Radio;

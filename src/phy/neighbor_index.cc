@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/phy/radio.h"
 #include "src/prof/profiler.h"
 
 namespace manet::phy {
-
-const char* toString(NeighborIndexKind k) {
-  switch (k) {
-    case NeighborIndexKind::kScan:
-      return "scan";
-    case NeighborIndexKind::kGrid:
-      return "grid";
-  }
-  return "?";
-}
-
-NeighborIndexKind neighborIndexKindFromString(const char* s,
-                                              NeighborIndexKind fallback) {
-  if (s == nullptr) return fallback;
-  if (std::strcmp(s, "scan") == 0) return NeighborIndexKind::kScan;
-  if (std::strcmp(s, "grid") == 0) return NeighborIndexKind::kGrid;
-  return fallback;
-}
-
-NeighborIndexKind neighborIndexKindFromEnv(NeighborIndexKind fallback) {
-  const char* v = std::getenv("MANET_PHY_INDEX");  // NOLINT(concurrency-mt-unsafe)
-  return neighborIndexKindFromString(v, fallback);
-}
 
 // ------------------------------------------------------------ base class
 

@@ -3,20 +3,21 @@
 // The channel is a shared broadcast medium: every transmission must reach
 // exactly the radios within range of the transmitter. Doing that by scanning
 // every radio is O(N) per frame — the dominant cost on large scenarios (the
-// PR 8 fan-out histogram exists to show precisely this waste). NeighborIndex
-// is the seam that makes the fast implementation a swappable drop-in:
+// fan-out histogram exists to show precisely this waste). NeighborIndex
+// has two implementations:
 //
+//   * GridNeighborIndex — the engine's index: a uniform grid of cells sized
+//     so that only a radio bucketed in the 3x3 cell block around a query
+//     point can possibly be in range. Node positions are continuous
+//     functions of time, so the grid re-buckets lazily (amortized over
+//     queries) and pads its search radius by the worst-case movement since
+//     the last refresh; candidates are then confirmed with an exact
+//     distance check. The candidate set is therefore always a superset of
+//     the true in-range set, and the visit order (ascending attach order)
+//     matches the full scan.
 //   * ScanNeighborIndex — the original full scan; zero bookkeeping, exact.
-//   * GridNeighborIndex — a uniform grid of cells sized so that only a
-//     radio bucketed in the 3x3 cell block around a query point can possibly
-//     be in range. Node positions are continuous functions of time, so the
-//     grid re-buckets lazily (amortized over queries) and pads its search
-//     radius by the worst-case movement since the last refresh; candidates
-//     are then confirmed with an exact distance check. The candidate set is
-//     therefore always a superset of the true in-range set, and the visit
-//     order (ascending attach order) matches the full scan — so the two
-//     implementations deliver *identical* frame sets in identical order and
-//     runs stay byte-identical whichever index is selected.
+//     A test oracle only: the equivalence tests check that both deliver
+//     *identical* frame sets in identical order, so runs stay byte-identical.
 //
 // Consumers beyond Channel::transmit (the link oracle's ground-truth checks,
 // the fault injector's radio-wide sweeps and neighbor-aware blackout
@@ -62,15 +63,9 @@ class RadioVisitor {
   void (*call_)(void*, Radio&, double);
 };
 
-/// Which NeighborIndex implementation a channel builds.
+/// Which NeighborIndex implementation a channel builds. kGrid is the
+/// engine; kScan selects the test oracle.
 enum class NeighborIndexKind : std::uint8_t { kScan, kGrid };
-
-const char* toString(NeighborIndexKind k);
-/// Parse "scan" / "grid"; anything else returns `fallback`.
-NeighborIndexKind neighborIndexKindFromString(const char* s,
-                                              NeighborIndexKind fallback);
-/// MANET_PHY_INDEX environment override (scan|grid), else `fallback`.
-NeighborIndexKind neighborIndexKindFromEnv(NeighborIndexKind fallback);
 
 class NeighborIndex {
  public:

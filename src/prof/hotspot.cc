@@ -1,7 +1,5 @@
 #include "src/prof/hotspot.h"
 
-#include "src/util/thread_annotations.h"
-
 namespace manet::prof {
 
 const char* toString(AllocSite s) {
@@ -12,13 +10,5 @@ const char* toString(AllocSite s) {
   }
   return "?";
 }
-
-// One tracker slot per thread so parallel sweep workers (one scenario and
-// profiler per thread) tally independently; the owning Profiler installs and
-// uninstalls it, and a null slot makes every record path a no-op.
-// manet-lint: allow(shared-mutable): thread-local profiler hook, installed
-// per run; tallies are observational only and never feed back into
-// simulation decisions.
-thread_local AllocTracker* AllocTracker::t_current = nullptr;
 
 }  // namespace manet::prof

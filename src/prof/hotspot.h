@@ -86,10 +86,15 @@ class AllocTracker {
   }
 
  private:
+  // One slot per thread, so parallel sweep workers tally independently; a
+  // null slot makes every record path a no-op. Defined inline, so every
+  // translation unit sees the constant initializer and reads the slot
+  // directly: reads through the thread_local wrapper that an out-of-line
+  // definition needs fail UBSan's null check.
   // manet-lint: allow(shared-mutable): thread-local profiler hook, installed
   // per-Scenario by the Profiler ctor and cleared by its dtor; never read by
   // simulation decisions, only written to by observational tallies.
-  static thread_local AllocTracker* t_current;
+  static inline thread_local AllocTracker* t_current = nullptr;
   std::array<AllocSiteStats, kNumAllocSites> sites_{};
   std::array<std::uint64_t, kNumAllocSites> unitBytes_{};
 };

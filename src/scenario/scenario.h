@@ -47,17 +47,14 @@ struct ScenarioConfig {
   core::DsrConfig dsr;
   aodv::AodvConfig aodv;
   mac::MacConfig mac;
-  /// The default picks up MANET_PHY_* environment overrides (neighbor-index
-  /// selection); Scenario's constructor additionally raises the index speed
-  /// bound to this scenario's maxSpeed so grid queries stay exact.
-  phy::PhyConfig phy = phy::PhyConfig::fromEnv();
+  /// Scenario's constructor raises the index speed bound to this
+  /// scenario's maxSpeed so grid queries stay exact.
+  phy::PhyConfig phy;
 
-  /// Scheduler pending-set implementation. Purely a performance knob —
-  /// both kinds dispatch in identical (time, id) order, so runs are
-  /// byte-identical either way (enforced by tests/integration). Default is
-  /// the calendar queue, overridable with MANET_EVENT_QUEUE=heap|calendar.
-  sim::EventQueueKind eventQueue =
-      sim::eventQueueKindFromEnv(sim::EventQueueKind::kCalendar);
+  /// Scheduler pending-set implementation: the calendar queue, or the heap
+  /// test oracle. Not a tuning knob — both dispatch in identical (time, id)
+  /// order, so runs are byte-identical (enforced by tests/integration).
+  sim::EventQueueKind eventQueue = sim::EventQueueKind::kCalendar;
 
   /// Tracing / sampling / export knobs; defaults pick up the MANET_*
   /// environment overrides so every bench binary is switchable without

@@ -3,35 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 namespace manet::sim {
-
-const char* toString(EventQueueKind k) {
-  switch (k) {
-    case EventQueueKind::kHeap:
-      return "heap";
-    case EventQueueKind::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
-
-EventQueueKind eventQueueKindFromString(std::string_view s) {
-  if (s == "heap") return EventQueueKind::kHeap;
-  if (s == "calendar" || s == "cal") return EventQueueKind::kCalendar;
-  throw std::invalid_argument("unknown event queue kind '" + std::string(s) +
-                              "' (want heap|calendar)");
-}
-
-EventQueueKind eventQueueKindFromEnv(EventQueueKind fallback) {
-  const char* v = std::getenv("MANET_EVENT_QUEUE");  // NOLINT(concurrency-mt-unsafe)
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return eventQueueKindFromString(v);
-}
 
 namespace {
 /// Heap comparator: the entry popped first is the minimum by (at, id).
@@ -193,7 +167,7 @@ std::unique_ptr<EventQueue> makeEventQueue(EventQueueKind kind) {
     case EventQueueKind::kCalendar:
       return std::make_unique<CalendarEventQueue>();
   }
-  return std::make_unique<HeapEventQueue>();
+  return std::make_unique<CalendarEventQueue>();
 }
 
 }  // namespace manet::sim

@@ -1,22 +1,20 @@
-// Pluggable pending-event set for the Scheduler.
+// Pending-event set for the Scheduler.
 //
 // The Scheduler's correctness contract lives here, not in any particular
 // data structure: peek()/pop() must yield entries in strictly ascending
 // (at, id) order — time first, then scheduling order among equal
 // timestamps (the FIFO tie-break every determinism test depends on). Any
-// implementation honoring that order produces byte-identical runs, which
-// is what lets the queue be selected by config instead of being baked in.
+// implementation honoring that order produces byte-identical runs.
 //
-// Two implementations ship:
-//  * HeapEventQueue     — binary min-heap, O(log n) per op. The safe
-//    default for a bare Scheduler: no tuning knobs, good at any size.
-//  * CalendarEventQueue — Brown's calendar queue: a bucket wheel over the
-//    near future plus a min-heap overflow for far-future timers. The
-//    simulator's event-horizon histogram (prof::recordHorizon) is bimodal —
-//    microsecond-scale MAC/PHY events dominate, with a thin tail of
-//    second-scale protocol timers — so almost every event lands in the
-//    wheel and enqueue/dequeue are O(1) amortized. Scenario runs select it
-//    by default (ScenarioConfig::eventQueue / MANET_EVENT_QUEUE=heap|cal).
+// Two implementations exist:
+//  * CalendarEventQueue — the engine's queue: Brown's calendar queue, a
+//    bucket wheel over the near future plus a min-heap overflow for
+//    far-future timers. The simulator's event-horizon histogram
+//    (prof::recordHorizon) is bimodal — microsecond-scale MAC/PHY events
+//    dominate, with a thin tail of second-scale protocol timers — so almost
+//    every event lands in the wheel and enqueue/dequeue are O(1) amortized.
+//  * HeapEventQueue     — binary min-heap, O(log n) per op. A test oracle
+//    only: the equivalence tests run it against the calendar queue.
 //
 // Determinism note for the calendar queue: bucket placement is a pure
 // function of the entry's timestamp, min-selection within a bucket breaks
@@ -26,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/prof/profiler.h"
@@ -46,16 +43,13 @@ struct EventEntry {
   prof::Category cat = prof::Category::kOther;
 };
 
+/// Which EventQueue a Scheduler builds. kCalendar is the engine; kHeap
+/// selects the test oracle. Not a tuning knob: both dispatch in identical
+/// (time, id) order.
 enum class EventQueueKind : std::uint8_t {
   kHeap,
   kCalendar,
 };
-
-const char* toString(EventQueueKind k);
-/// Parse "heap" / "calendar"; throws std::invalid_argument otherwise.
-EventQueueKind eventQueueKindFromString(std::string_view s);
-/// MANET_EVENT_QUEUE override, else `fallback`.
-EventQueueKind eventQueueKindFromEnv(EventQueueKind fallback);
 
 /// Minimum-(at, id) priority queue of EventEntry.
 class EventQueue {

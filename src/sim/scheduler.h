@@ -33,18 +33,17 @@ struct DispatchSpan {
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
 /// runs deterministic. The pending set lives behind the EventQueue
-/// interface (binary heap or calendar queue, chosen at construction); both
-/// implementations dispatch in identical (time, id) order, so the choice
-/// is a pure performance knob. Cancellation is lazy: cancelled entries are
-/// skipped when they reach the head of the queue. Event status is tracked
-/// in a dense per-id window (ids are assigned sequentially and retired
-/// roughly in order), so cancelling an already-fired id is a true no-op
-/// and pendingCount() stays exact.
+/// interface: the calendar queue, or the binary-heap test oracle that
+/// dispatches in the identical (time, id) order. Cancellation is lazy:
+/// cancelled entries are skipped when they reach the head of the queue.
+/// Event status is tracked in a dense per-id window (ids are assigned
+/// sequentially and retired roughly in order), so cancelling an
+/// already-fired id is a true no-op and pendingCount() stays exact.
 class Scheduler {
  public:
-  /// A bare scheduler defaults to the tuning-free binary heap; Scenario
-  /// runs select the calendar queue (see ScenarioConfig::eventQueue).
-  explicit Scheduler(EventQueueKind queue = EventQueueKind::kHeap)
+  /// Every scheduler runs the calendar queue; `queue` exists so the
+  /// equivalence tests can build the heap oracle.
+  explicit Scheduler(EventQueueKind queue = EventQueueKind::kCalendar)
       : queue_(makeEventQueue(queue)) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;

@@ -4,9 +4,9 @@
 // The telemetry layer's trace_reader covers flat JSONL lines; this parser
 // exists for the nested documents the repo itself writes — BENCH_*.json
 // perf baselines and structured run exports — so tooling (perf_baseline
-// --compare, trace_inspector --bench) can read them back. It is a reader
-// for our own well-formed output, not a hardened general-purpose parser:
-// \uXXXX escapes are preserved verbatim rather than decoded.
+// --compare, manet_prof) can read them back. It is a reader for our own
+// well-formed output, not a hardened general-purpose parser: \uXXXX
+// escapes are preserved verbatim rather than decoded.
 #pragma once
 
 #include <map>

@@ -1,12 +1,15 @@
-// Engine-core equivalence: the three swappable hot-path machines — the
-// neighbor index, the event queue, and the packet pool — are pure
-// performance knobs. Whichever combination is selected, a run must stay
-// byte-identical: same metrics, same event count, same trace contents.
+// Engine-core equivalence: each hot-path machine of the engine — the grid
+// neighbor index, the calendar event queue, and the packet pool — has a
+// slow test oracle (full scan, binary heap, plain heap allocation). Against
+// its oracle a run must stay byte-identical: same metrics, same event
+// count, same trace contents.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,28 @@ void expectIdentical(const Capture& a, const Capture& b) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     ASSERT_EQ(a.trace[i], b.trace[i]) << "first divergence at record " << i;
   }
+}
+
+TEST(EngineEquivalenceTest, DefaultConfigIgnoresRetiredEngineEnvVars) {
+  // The engine has one configuration; the environment variables that used
+  // to select the oracles must not reach a default ScenarioConfig.
+  const char* names[] = {"MANET_PHY_INDEX", "MANET_EVENT_QUEUE"};
+  std::optional<std::string> saved[2];
+  for (int i = 0; i < 2; ++i) {
+    if (const char* v = std::getenv(names[i])) saved[i] = v;
+  }
+  ::setenv("MANET_PHY_INDEX", "scan", 1);
+  ::setenv("MANET_EVENT_QUEUE", "heap", 1);
+  ScenarioConfig c;
+  for (int i = 0; i < 2; ++i) {
+    if (saved[i]) {
+      ::setenv(names[i], saved[i]->c_str(), 1);
+    } else {
+      ::unsetenv(names[i]);
+    }
+  }
+  EXPECT_EQ(c.phy.neighborIndex, phy::NeighborIndexKind::kGrid);
+  EXPECT_EQ(c.eventQueue, sim::EventQueueKind::kCalendar);
 }
 
 TEST(EngineEquivalenceTest, ScanAndGridDeliverByteIdenticalRuns) {

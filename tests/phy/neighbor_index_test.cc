@@ -169,13 +169,7 @@ TEST(NeighborIndexTest, ForEachRadioVisitsAllInAttachOrder) {
   }
 }
 
-TEST(NeighborIndexTest, KindParsingAndFactory) {
-  EXPECT_STREQ(toString(NeighborIndexKind::kScan), "scan");
-  EXPECT_STREQ(toString(NeighborIndexKind::kGrid), "grid");
-  EXPECT_EQ(neighborIndexKindFromString("grid", NeighborIndexKind::kScan),
-            NeighborIndexKind::kGrid);
-  EXPECT_EQ(neighborIndexKindFromString("bogus", NeighborIndexKind::kScan),
-            NeighborIndexKind::kScan);
+TEST(NeighborIndexTest, FactoryBuildsEachKind) {
   Scheduler sched;
   EXPECT_STREQ(makeNeighborIndex(NeighborIndexKind::kScan, sched, 250.0, 20.0,
                                  Time::seconds(1))

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,11 +92,11 @@ TEST(EventQueueTest, InterleavedPushPopStaysOrderedOnBothKinds) {
         ++pushed;
       }
       EventEntry e = q->pop();
-      EXPECT_GE(e.at, lastPopped) << toString(kind) << " went backwards";
+      EXPECT_GE(e.at, lastPopped) << q->name() << " went backwards";
       lastPopped = e.at;
       popped.emplace_back(e.at, e.id);
     }
-    EXPECT_TRUE(q->empty()) << toString(kind);
+    EXPECT_TRUE(q->empty()) << q->name();
   }
 }
 
@@ -114,13 +113,11 @@ TEST(EventQueueTest, CalendarRoutesFarTimersThroughOverflow) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueTest, KindParsing) {
-  EXPECT_STREQ(toString(EventQueueKind::kHeap), "heap");
-  EXPECT_STREQ(toString(EventQueueKind::kCalendar), "calendar");
-  EXPECT_EQ(eventQueueKindFromString("heap"), EventQueueKind::kHeap);
-  EXPECT_EQ(eventQueueKindFromString("calendar"), EventQueueKind::kCalendar);
-  EXPECT_EQ(eventQueueKindFromString("cal"), EventQueueKind::kCalendar);
-  EXPECT_THROW(eventQueueKindFromString("bogus"), std::invalid_argument);
+TEST(EventQueueTest, DefaultSchedulerRunsTheCalendarQueue) {
+  // Unit tests build bare schedulers; they must exercise the queue that
+  // scenario runs use, not the heap oracle.
+  const Scheduler sched;
+  EXPECT_STREQ(sched.queueName(), "calendar");
 }
 
 TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
@@ -145,7 +142,8 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
       });
     });
     sched.scheduleAt(Time::micros(10), [&] { log.push_back("tie-b"); });
-    EXPECT_EQ(std::string(sched.queueName()), toString(kind));
+    EXPECT_STREQ(sched.queueName(),
+                 kind == EventQueueKind::kHeap ? "heap" : "calendar");
     EXPECT_EQ(sched.nextEventAt(), Time::micros(5));
     sched.run();
     log.push_back("executed=" + std::to_string(sched.executedCount()));

@@ -3,7 +3,8 @@
 // bench/perf_baseline writes schema-versioned BENCH files; this tool asks
 // them the hotspot questions the raw JSON makes tedious:
 //
-//   manet_prof <BENCH.json>              per-scenario hotspot digest: top-K
+//   manet_prof <BENCH.json>              per-scenario digest: wall per rep,
+//                                        peak RSS, category self time, top-K
 //                                        hot nodes (with positions), channel
 //                                        fan-out histogram, event-horizon
 //                                        histogram, queue depth, allocation
@@ -97,10 +98,17 @@ void printScenario(const prof::BenchScenario& s, std::size_t topK) {
               " events (%.0f ev/s), queue peak %" PRIu64 "\n",
               s.wallSecondsMedian, s.repetitions, s.events,
               s.eventsPerSecMedian, s.schedQueuePeak);
+  std::printf("  wall per rep:");
+  for (const double w : s.wallSecondsAll) std::printf(" %.3fs", w);
+  std::printf("   peak RSS %.1f MB\n",
+              static_cast<double>(s.peakRssBytes) / (1024.0 * 1024.0));
   if (!s.categorySelfSeconds.empty()) {
+    double total = 0.0;
+    for (const auto& [name, sec] : s.categorySelfSeconds) total += sec;
     std::printf("  category self time:");
     for (const auto& [name, sec] : s.categorySelfSeconds) {
-      std::printf(" %s=%.3fs", name.c_str(), sec);
+      std::printf(" %s=%.3fs (%.1f%%)", name.c_str(), sec,
+                  total > 0.0 ? 100.0 * sec / total : 0.0);
     }
     std::printf("\n");
   }
