@@ -42,21 +42,6 @@ std::uint64_t u64At(const util::JsonValue& obj, std::string_view key) {
   return d <= 0.0 ? 0 : static_cast<std::uint64_t>(d);
 }
 
-void appendBuckets(std::string& out, const char* key,
-                   const std::vector<HistBucket>& buckets) {
-  out += ",\"";
-  out += key;
-  out += "\":[";
-  char buf[128];
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]", i > 0 ? "," : "",
-                  buckets[i].low, buckets[i].high, buckets[i].count);
-    out += buf;
-  }
-  out += ']';
-}
-
 std::vector<HistBucket> parseBuckets(const util::JsonValue& obj,
                                      std::string_view key) {
   std::vector<HistBucket> out;
@@ -86,48 +71,9 @@ void appendHotspot(std::string& out, const BenchScenario& s) {
                   n.framesHeard, n.selfSeconds);
     out += buf;
   }
-  std::snprintf(buf, sizeof(buf),
-                "],\"fanout\":{\"transmissions\":%" PRIu64
-                ",\"radios_examined\":%" PRIu64
-                ",\"radios_in_range\":%" PRIu64 ",\"max_in_range\":%" PRIu64
-                ",\"p50\":%.9g,\"p90\":%.9g,\"p99\":%.9g",
-                s.fanout.transmissions, s.fanout.radiosExamined,
-                s.fanout.radiosInRange, s.fanout.maxInRange, s.fanout.p50,
-                s.fanout.p90, s.fanout.p99);
-  out += buf;
-  appendBuckets(out, "buckets", s.fanout.buckets);
-  std::snprintf(buf, sizeof(buf),
-                "},\"queue\":{\"scheduled\":%" PRIu64
-                ",\"zero_horizon\":%" PRIu64 ",\"max_horizon_ns\":%" PRIu64
-                ",\"horizon_p50_ns\":%.9g,\"horizon_p90_ns\":%.9g"
-                ",\"horizon_p99_ns\":%.9g",
-                s.queue.scheduled, s.queue.zeroHorizon, s.queue.maxHorizonNs,
-                s.queue.horizonP50Ns, s.queue.horizonP90Ns,
-                s.queue.horizonP99Ns);
-  out += buf;
-  appendBuckets(out, "horizon_buckets", s.queue.horizonBuckets);
-  std::snprintf(buf, sizeof(buf),
-                ",\"depth_peak\":%" PRIu64
-                ",\"depth_mean\":%.9g,\"depth_samples\":[",
-                s.queue.depthPeak, s.queue.depthMean);
-  out += buf;
-  for (std::size_t i = 0; i < s.queue.depthSamples.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s[%" PRId64 ",%" PRIu64 "]",
-                  i > 0 ? "," : "", s.queue.depthSamples[i].simNs,
-                  s.queue.depthSamples[i].depth);
-    out += buf;
-  }
-  out += "]},\"alloc\":{";
-  for (std::size_t a = 0; a < kNumAllocSites; ++a) {
-    const AllocSiteStats& st = s.alloc[a];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%" PRIu64 ",\"bytes\":%" PRIu64
-                  ",\"live\":%" PRIu64 ",\"high_water\":%" PRIu64 "}",
-                  a > 0 ? "," : "", toString(static_cast<AllocSite>(a)),
-                  st.count, st.bytes, st.live, st.highWater);
-    out += buf;
-  }
-  out += "}}";
+  out += "],";
+  appendHotspotSections(out, s.fanout, s.queue, s.alloc);
+  out += "}";
 }
 
 void parseHotspot(const util::JsonValue& hv, BenchScenario& s) {

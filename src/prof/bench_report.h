@@ -120,7 +120,7 @@ BenchComparison compareBenchReports(const BenchReport& baseline,
 /// and the worst-moving category with both of its values.
 std::string formatComparison(const BenchComparison& c);
 
-/// Deterministic-field diff for `manet_prof --diff`: compares only fields
+/// Deterministic-field diff for `manet prof --diff`: compares only fields
 /// that are pure functions of the simulation (events, queue peaks, top-node
 /// activations / frames heard / positions, fan-out and horizon counts,
 /// allocation tallies) and ignores every wall-time-derived value. Two runs

@@ -414,40 +414,50 @@ std::string hotspotJson(const HotspotReport& h) {
     out += categoryCountsJson(e.categoryScopes);
     out += "}";
   }
+  out += "],";
+  appendHotspotSections(out, h.fanout, h.queue, h.alloc);
+  out += "}";
+  return out;
+}
+
+void appendHotspotSections(
+    std::string& out, const FanoutReport& fanout, const QueueReport& queue,
+    const std::array<AllocSiteStats, kNumAllocSites>& alloc) {
+  char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "],\"fanout\":{\"transmissions\":%" PRIu64
+                "\"fanout\":{\"transmissions\":%" PRIu64
                 ",\"radios_examined\":%" PRIu64 ",\"radios_in_range\":%" PRIu64
                 ",\"max_in_range\":%" PRIu64
                 ",\"p50\":%.9g,\"p90\":%.9g,\"p99\":%.9g,\"buckets\":",
-                h.fanout.transmissions, h.fanout.radiosExamined,
-                h.fanout.radiosInRange, h.fanout.maxInRange, h.fanout.p50,
-                h.fanout.p90, h.fanout.p99);
+                fanout.transmissions, fanout.radiosExamined,
+                fanout.radiosInRange, fanout.maxInRange, fanout.p50,
+                fanout.p90, fanout.p99);
   out += buf;
-  out += bucketsJson(h.fanout.buckets);
+  out += bucketsJson(fanout.buckets);
   std::snprintf(buf, sizeof(buf),
                 "},\"queue\":{\"scheduled\":%" PRIu64
                 ",\"zero_horizon\":%" PRIu64 ",\"max_horizon_ns\":%" PRIu64
                 ",\"horizon_p50_ns\":%.9g,\"horizon_p90_ns\":%.9g"
                 ",\"horizon_p99_ns\":%.9g,\"horizon_buckets\":",
-                h.queue.scheduled, h.queue.zeroHorizon, h.queue.maxHorizonNs,
-                h.queue.horizonP50Ns, h.queue.horizonP90Ns,
-                h.queue.horizonP99Ns);
+                queue.scheduled, queue.zeroHorizon, queue.maxHorizonNs,
+                queue.horizonP50Ns, queue.horizonP90Ns,
+                queue.horizonP99Ns);
   out += buf;
-  out += bucketsJson(h.queue.horizonBuckets);
+  out += bucketsJson(queue.horizonBuckets);
   std::snprintf(buf, sizeof(buf),
                 ",\"depth_peak\":%" PRIu64
                 ",\"depth_mean\":%.9g,\"depth_samples\":[",
-                h.queue.depthPeak, h.queue.depthMean);
+                queue.depthPeak, queue.depthMean);
   out += buf;
-  for (std::size_t i = 0; i < h.queue.depthSamples.size(); ++i) {
+  for (std::size_t i = 0; i < queue.depthSamples.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%s[%" PRId64 ",%" PRIu64 "]",
-                  i > 0 ? "," : "", h.queue.depthSamples[i].simNs,
-                  h.queue.depthSamples[i].depth);
+                  i > 0 ? "," : "", queue.depthSamples[i].simNs,
+                  queue.depthSamples[i].depth);
     out += buf;
   }
   out += "]},\"alloc\":{";
   for (std::size_t s = 0; s < kNumAllocSites; ++s) {
-    const AllocSiteStats& st = h.alloc[s];
+    const AllocSiteStats& st = alloc[s];
     std::snprintf(buf, sizeof(buf),
                   "%s\"%s\":{\"count\":%" PRIu64 ",\"bytes\":%" PRIu64
                   ",\"live\":%" PRIu64 ",\"high_water\":%" PRIu64 "}",
@@ -455,8 +465,7 @@ std::string hotspotJson(const HotspotReport& h) {
                   st.count, st.bytes, st.live, st.highWater);
     out += buf;
   }
-  out += "}}";
-  return out;
+  out += "}";
 }
 
 }  // namespace manet::prof

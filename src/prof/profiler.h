@@ -209,6 +209,13 @@ std::string toJson(const Report& r);
 /// bench/perf_baseline for schema-v2 BENCH records).
 std::string hotspotJson(const HotspotReport& h);
 
+/// Append the fan-out, queue and alloc sections shared by hotspotJson and
+/// the BENCH report's hotspot record: `"fanout":{..},"queue":{..},
+/// "alloc":{..}`, no surrounding braces.
+void appendHotspotSections(
+    std::string& out, const FanoutReport& fanout, const QueueReport& queue,
+    const std::array<AllocSiteStats, kNumAllocSites>& alloc);
+
 /// Process peak resident set size in bytes (VmHWM; getrusage fallback).
 /// Returns 0 when unavailable.
 std::uint64_t readPeakRssBytes();

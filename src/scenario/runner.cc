@@ -564,7 +564,7 @@ std::string failureDigest(const SweepResult& result) {
     os << "  " << c.label << " r" << c.rep << ": " << c.error << " ("
        << c.attempts << " attempt" << (c.attempts == 1 ? "" : "s") << ")\n";
   }
-  os << "Inspect with `manet_ctl failures <journal>`; a later run with "
+  os << "Inspect with `manet ctl failures <journal>`; a later run with "
         "--resume retries only the quarantined cells.\n";
   return os.str();
 }

@@ -59,7 +59,7 @@ struct RunnerOptions {
   /// restored cells are bit-identical to re-run ones, so aggregates and
   /// exports match an uninterrupted campaign byte for byte.
   bool resume = false;
-  /// Recorded in the journal's campaign header (manet_ctl resume-cmd).
+  /// Recorded in the journal's campaign header (manet ctl resume-cmd).
   std::string campaignCmd;
 
   // ---- supervision -------------------------------------------------------

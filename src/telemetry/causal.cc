@@ -2,52 +2,119 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <set>
 #include <unordered_set>
 
-#include "src/telemetry/trace_reader.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 
-bool parseCausalLine(std::string_view line, CausalRecord& out) {
-  auto ev = jsonStringField(line, "ev");
-  if (!ev) return false;
-  out = CausalRecord{};
-  out.event = std::move(*ev);
-  if (auto v = jsonNumberField(line, "t")) out.t = *v;
-  if (auto v = jsonStringField(line, "reason")) out.reason = std::move(*v);
-  if (auto v = jsonNumberField(line, "node")) {
-    out.node = static_cast<net::NodeId>(*v);
+namespace {
+
+/// Store `obj[key]`, when present, in `out`. It must be a whole number
+/// inside T's range: a string, a fraction, 1e300 or -1 for an unsigned
+/// field is an error, never a silently wrapped value.
+template <typename T>
+bool readInt(const util::JsonValue& obj, const char* key, T& out,
+             std::string& why) {
+  const util::JsonValue* v = obj.find(key);
+  if (v == nullptr) return true;
+  const double d = v->isNumber() ? v->asNumber() : std::nan("");
+  // max + 1.0 rounds to exactly 2^digits for the 32- and 64-bit fields
+  // read here, so `d < hi` admits every double that fits.
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!(d >= lo && d < hi && d == std::trunc(d))) {
+    why = std::string("\"") + key + "\" is not an integer in range";
+    return false;
   }
-  if (auto v = jsonStringField(line, "kind")) out.kind = std::move(*v);
-  if (auto v = jsonNumberField(line, "uid")) {
-    out.uid = static_cast<std::uint64_t>(*v);
-  }
-  if (auto v = jsonNumberField(line, "cause")) {
-    out.cause = static_cast<std::uint64_t>(*v);
-  }
-  if (auto v = jsonNumberField(line, "src")) {
-    out.src = static_cast<net::NodeId>(*v);
-  }
-  if (auto v = jsonNumberField(line, "dst")) {
-    out.dst = static_cast<net::NodeId>(*v);
-  }
-  if (auto v = jsonNumberField(line, "detail")) {
-    out.detail = static_cast<std::int64_t>(*v);
-  }
-  if (auto v = jsonNumberField(line, "prov")) {
-    out.prov = static_cast<std::uint64_t>(*v);
-  }
-  if (auto v = jsonStringField(line, "origin")) out.origin = std::move(*v);
-  if (auto v = jsonNumberField(line, "pnode")) {
-    out.provNode = static_cast<net::NodeId>(*v);
-  }
-  if (auto v = jsonNumberField(line, "born")) out.born = *v;
-  if (auto v = jsonNumberField(line, "phops")) {
-    out.provHops = static_cast<unsigned>(*v);
-  }
+  out = static_cast<T>(d);
   return true;
+}
+
+bool readFinite(const util::JsonValue& obj, const char* key, double& out,
+                std::string& why) {
+  const util::JsonValue* v = obj.find(key);
+  if (v == nullptr) return true;
+  if (!v->isNumber() || !std::isfinite(v->asNumber())) {
+    why = std::string("\"") + key + "\" is not a finite number";
+    return false;
+  }
+  out = v->asNumber();
+  return true;
+}
+
+bool readString(const util::JsonValue& obj, const char* key,
+                std::string& out, std::string& why) {
+  const util::JsonValue* v = obj.find(key);
+  if (v == nullptr) return true;
+  if (!v->isString()) {
+    why = std::string("\"") + key + "\" is not a string";
+    return false;
+  }
+  out = v->asString();
+  return true;
+}
+
+bool parseRecord(std::string_view line, CausalRecord& r, std::string& why) {
+  const std::optional<util::JsonValue> doc = util::parseJson(line, &why);
+  if (!doc) return false;
+  if (!doc->isObject()) {
+    why = "not a JSON object";
+    return false;
+  }
+  const util::JsonValue* ev = doc->find("ev");
+  if (ev == nullptr || !ev->isString()) {
+    why = "no \"ev\" string (not a trace record)";
+    return false;
+  }
+  r.event = ev->asString();
+  return readFinite(*doc, "t", r.t, why) &&
+         readString(*doc, "reason", r.reason, why) &&
+         readString(*doc, "kind", r.kind, why) &&
+         readString(*doc, "origin", r.origin, why) &&
+         readFinite(*doc, "born", r.born, why) &&
+         readInt(*doc, "node", r.node, why) &&
+         readInt(*doc, "uid", r.uid, why) &&
+         readInt(*doc, "cause", r.cause, why) &&
+         readInt(*doc, "src", r.src, why) &&
+         readInt(*doc, "dst", r.dst, why) &&
+         readInt(*doc, "flow", r.flow, why) &&
+         readInt(*doc, "detail", r.detail, why) &&
+         readInt(*doc, "prov", r.prov, why) &&
+         readInt(*doc, "pnode", r.provNode, why) &&
+         readInt(*doc, "phops", r.provHops, why);
+}
+
+}  // namespace
+
+TraceReadResult readTrace(std::istream& in) {
+  TraceReadResult out;
+  std::string line;
+  std::string why;
+  std::size_t lineNo = 0;
+  while (std::getline(in, line)) {
+    ++lineNo;
+    if (line.empty()) continue;
+    CausalRecord r;
+    if (parseRecord(line, r, why)) {
+      out.records.push_back(std::move(r));
+    } else {
+      out.errors.push_back("line " + std::to_string(lineNo) + ": " + why);
+    }
+  }
+  return out;
+}
+
+std::optional<TraceReadResult> readTrace(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  return readTrace(in);
 }
 
 std::string_view ageBucketLabel(double ageSeconds) {
@@ -58,13 +125,8 @@ std::string_view ageBucketLabel(double ageSeconds) {
   return ">=10s";
 }
 
-CausalIndex CausalIndex::fromLines(const std::vector<std::string>& lines) {
-  CausalIndex idx;
-  CausalRecord r;
-  for (const std::string& line : lines) {
-    if (parseCausalLine(line, r)) idx.add(std::move(r));
-  }
-  return idx;
+CausalIndex::CausalIndex(std::vector<CausalRecord> records) {
+  for (CausalRecord& r : records) add(std::move(r));
 }
 
 void CausalIndex::add(CausalRecord r) {
@@ -89,7 +151,10 @@ CausalRecord toCausalRecord(const TraceRecord& r) {
   c.event = toString(r.event);
   if (r.event == TraceEvent::kPktDrop) c.reason = toString(r.reason);
   c.node = r.node;
-  if (r.uid != 0) c.kind = net::toString(r.kind);
+  if (r.uid != 0) {
+    c.kind = net::toString(r.kind);
+    c.flow = r.flowId;
+  }
   c.uid = r.uid;
   c.cause = r.cause;
   c.src = r.src;

@@ -6,8 +6,8 @@
 // route, RREP <- the RREQ it answers, RERR <- the packet whose transmission
 // failed, gratuitous RREP <- the tapped data packet), and the provenance of
 // the cache entry behind the event. CausalIndex ingests records — from a
-// live RingBufferSink or re-parsed JSONL lines — and answers the questions
-// the paper's outcome counters cannot:
+// live RingBufferSink or a JSONL trace read back by readTrace — and answers
+// the questions the paper's outcome counters cannot:
 //   * the full life of one packet across every node it touched,
 //   * the causal ancestry of any control packet back to the application
 //     packet that started it,
@@ -22,7 +22,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,10 +33,10 @@
 
 namespace manet::telemetry {
 
-/// One trace record, reduced to the fields causal analysis needs. Produced
-/// either from a live TraceRecord or by parsing one JSONL line (enum-coded
-/// fields stay strings so a CausalRecord round-trips through JSONL
-/// unchanged).
+/// One trace record, reduced to the fields offline analysis needs.
+/// Produced either from a live TraceRecord or by readTrace from one JSONL
+/// line (enum-coded fields stay strings so a CausalRecord round-trips
+/// through JSONL unchanged).
 struct CausalRecord {
   double t = 0.0;           // sim-time seconds
   std::string event;        // toString(TraceEvent)
@@ -45,6 +47,7 @@ struct CausalRecord {
   std::uint64_t cause = 0;  // uid of the packet that caused this one
   net::NodeId src = 0;
   net::NodeId dst = 0;
+  std::uint32_t flow = 0;   // CBR flow id (packet-scoped records only)
   std::int64_t detail = 0;
   // Provenance of the cache entry behind the event (id 0 = none).
   std::uint64_t prov = 0;
@@ -54,13 +57,28 @@ struct CausalRecord {
   unsigned provHops = 0;    // route length at insert
 };
 
-/// Parse one JSONL trace line into a CausalRecord. Returns false when the
-/// line has no "ev" field (i.e. is not a trace record).
-bool parseCausalLine(std::string_view line, CausalRecord& out);
-
 /// Reduce a live TraceRecord to its causal fields (the same projection the
 /// JSONL round-trip produces). Shared by CausalIndex and the Perfetto sink.
 CausalRecord toCausalRecord(const TraceRecord& r);
+
+/// A JSONL trace read back: the records of the accepted lines in file
+/// order, and "line N: <why>" for every rejected one. A truncated tail (a
+/// run killed mid-write) shows up as one error on the final line instead of
+/// silently vanishing from the analysis.
+struct TraceReadResult {
+  std::vector<CausalRecord> records;
+  std::vector<std::string> errors;
+};
+
+/// Read a JSONL trace (written by JsonlFileSink). Each non-empty line is
+/// parsed once with util::parseJson; it is accepted only if it is an object
+/// with a string "ev", string-typed "reason"/"kind"/"origin", finite
+/// "t"/"born", and integer fields (uid, cause, prov, node, src, dst, flow,
+/// pnode, detail, phops) that are whole numbers within their type's range.
+/// Absent optional fields keep their defaults. The path overload returns
+/// nullopt only if the file cannot be opened.
+TraceReadResult readTrace(std::istream& in);
+std::optional<TraceReadResult> readTrace(const std::string& path);
 
 /// Stale-drop attribution: data-packet drops whose route failed underneath
 /// them (link_fail_no_salvage) or was intercepted by the negative cache,
@@ -78,7 +96,7 @@ struct StaleReport {
   std::uint64_t distinctEntries = 0;  // distinct blamed cache entries
 
   /// Fixed-width text table (deterministic; ends with an attribution
-  /// summary line). Used by manet_trace --stale-report and CI.
+  /// summary line). Used by `manet trace --stale-report` and CI.
   std::string render() const;
 };
 
@@ -89,8 +107,9 @@ std::string_view ageBucketLabel(double ageSeconds);
 
 class CausalIndex {
  public:
-  /// Ingest parsed JSONL trace lines (non-records are ignored).
-  static CausalIndex fromLines(const std::vector<std::string>& lines);
+  CausalIndex() = default;
+  /// Index records in order (e.g. readTrace(path)->records).
+  explicit CausalIndex(std::vector<CausalRecord> records);
 
   void add(CausalRecord r);
   /// Convert-and-add a live record (ring snapshots, tests).

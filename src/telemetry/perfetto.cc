@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstring>
 
+#include "src/util/atomic_file.h"
+
 namespace manet::telemetry {
 
 namespace {
@@ -49,7 +51,7 @@ void appendKeyString(std::string& out, std::string_view key,
 }  // namespace
 
 PerfettoWriter::PerfettoWriter(const std::string& path) : path_(path) {
-  ensureParentDir(path);
+  util::ensureParentDir(path);
   f_ = std::fopen(path.c_str(), "wb");
   if (f_ != nullptr) std::fputs("[\n", f_);
 }
@@ -242,15 +244,13 @@ void writeDispatchSpans(PerfettoWriter& w,
   }
 }
 
-long convertJsonlToPerfetto(const std::vector<std::string>& lines,
+long convertJsonlToPerfetto(const std::vector<CausalRecord>& records,
                             const std::string& outPath) {
   PerfettoWriter w(outPath);
   if (!w.ok()) return -1;
   w.processName(kPerfettoNodesPid, "nodes (sim time)");
   std::set<net::NodeId> named;
-  CausalRecord r;
-  for (const std::string& line : lines) {
-    if (!parseCausalLine(line, r)) continue;
+  for (const CausalRecord& r : records) {
     if (named.insert(r.node).second) {
       w.threadName(kPerfettoNodesPid, r.node,
                    "node " + std::to_string(r.node));

@@ -117,11 +117,11 @@ class PerfettoSink final : public TraceSink {
   std::set<net::NodeId> namedNodes_;
 };
 
-/// Offline converter: previously-written JSONL trace lines -> a Perfetto
-/// timeline at `outPath` (used by tools/manet_trace --perfetto). Returns
-/// the number of timeline events written, or -1 if the file cannot be
-/// opened. Lines that are not trace records are skipped.
-long convertJsonlToPerfetto(const std::vector<std::string>& lines,
+/// Offline converter: the records of a JSONL trace read back by readTrace
+/// -> a Perfetto timeline at `outPath` (used by `manet trace --perfetto`).
+/// Returns the number of timeline events written, or -1 if the file cannot
+/// be opened.
+long convertJsonlToPerfetto(const std::vector<CausalRecord>& records,
                             const std::string& outPath);
 
 }  // namespace manet::telemetry

@@ -13,7 +13,7 @@
 //    is even constructed unless a sink is attached.
 //  * Sinks are simple: a bounded in-memory ring (post-mortem debugging,
 //    tests) and a JSONL file writer (machine-readable artifacts,
-//    examples/trace_inspector).
+//    `manet trace`).
 //  * Drop records are emitted at exactly the sites that increment the
 //    corresponding Metrics drop counters, so a trace always reconciles with
 //    the final counters (asserted by tests/integration/trace_reconcile).
@@ -144,14 +144,8 @@ class RingBufferSink final : public TraceSink {
   std::vector<Stored> buf_;
 };
 
-/// Create `path`'s parent directories if they do not exist yet, so sinks
-/// opened at sim start (before any exporter runs) can write into a not-yet
-/// created export directory. Thread-safe; best-effort (open errors are
-/// still reported by the caller).
-void ensureParentDir(const std::string& path);
-
-/// Streams records as JSON Lines to a file (one object per line), suitable
-/// for examples/trace_inspector and offline tooling.
+/// Streams records as JSON Lines to a file (one object per line), read
+/// back by readTrace (`manet trace` and the causal tests).
 class JsonlFileSink final : public TraceSink {
  public:
   explicit JsonlFileSink(const std::string& path);

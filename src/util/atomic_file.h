@@ -11,6 +11,12 @@
 
 namespace manet::util {
 
+/// Create `path`'s parent directories if they do not exist yet (trace sinks
+/// open at sim start, before any exporter has made the export directory).
+/// Thread-safe; best-effort: a failure shows up when the caller opens
+/// `path`.
+void ensureParentDir(const std::string& path);
+
 /// Write `content` to `path` atomically: the bytes land in a unique
 /// temporary sibling (`<path>.tmp.<pid>`), are flushed and fsynced, and the
 /// temporary is then renamed over `path` (rename(2) is atomic within a

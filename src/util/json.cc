@@ -103,8 +103,18 @@ class Parser {
       return std::nullopt;
     }
     switch (text_[pos_]) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+          return std::nullopt;
+        }
+        ++depth_;
+        std::optional<JsonValue> v =
+            text_[pos_] == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         std::string s;
         if (!parseString(&s)) return std::nullopt;
@@ -237,6 +247,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the current value
   std::string error_;
 };
 

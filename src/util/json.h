@@ -1,12 +1,12 @@
 // Minimal recursive-descent JSON parser: full value trees (objects,
 // arrays, strings, numbers, bools, null), no external dependency.
 //
-// The telemetry layer's trace_reader covers flat JSONL lines; this parser
-// exists for the nested documents the repo itself writes — BENCH_*.json
-// perf baselines and structured run exports — so tooling (perf_baseline
-// --compare, manet_prof) can read them back. It is a reader for our own
-// well-formed output, not a hardened general-purpose parser: \uXXXX
-// escapes are preserved verbatim rather than decoded.
+// The repo's only JSON reader: JSONL traces (telemetry::readTrace),
+// experiment journals, BENCH_*.json perf baselines and structured run
+// exports all come back through it. Malformed input of any shape yields
+// nullopt plus an error, never a crash: nesting is bounded by
+// kMaxJsonDepth so a hostile line cannot exhaust the stack. \uXXXX escapes
+// are preserved verbatim rather than decoded.
 #pragma once
 
 #include <map>
@@ -69,6 +69,11 @@ class JsonValue {
   std::shared_ptr<JsonArray> arr_;
   std::shared_ptr<JsonObject> obj_;
 };
+
+/// Deepest array/object nesting parseJson accepts. The repo's own
+/// documents nest at most a handful of levels; the bound exists so the
+/// recursive descent cannot overflow the stack on untrusted input.
+inline constexpr int kMaxJsonDepth = 256;
 
 /// Parse a complete JSON document. Returns nullopt on malformed input and
 /// sets `err` (if non-null) to a message with the byte offset.

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/scenario/runner.h"
@@ -20,7 +21,6 @@
 #include "src/scenario/sweep.h"
 #include "src/telemetry/causal.h"
 #include "src/telemetry/export.h"
-#include "src/telemetry/trace_reader.h"
 #include "src/util/json.h"
 
 namespace manet {
@@ -47,6 +47,13 @@ scenario::ScenarioConfig churnScenario() {
   return cfg;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 TEST(CausalAttributionTest, ChurnRunAttributesEveryStaleDrop) {
   const std::string path = ::testing::TempDir() + "/causal_churn.jsonl";
   std::remove(path.c_str());
@@ -55,13 +62,11 @@ TEST(CausalAttributionTest, ChurnRunAttributesEveryStaleDrop) {
   cfg.telemetry.traceJsonlPath = path;
   const scenario::RunResult r = scenario::runScenario(cfg);
 
-  const auto checked = telemetry::readJsonlFileChecked(path);
-  ASSERT_TRUE(checked.has_value());
-  EXPECT_EQ(checked->skipped, 0u)
-      << (checked->errors.empty() ? std::string() : checked->errors.front());
+  auto read = telemetry::readTrace(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->errors.empty()) << read->errors.front();
 
-  const telemetry::CausalIndex idx =
-      telemetry::CausalIndex::fromLines(checked->lines);
+  const telemetry::CausalIndex idx(std::move(read->records));
   const telemetry::StaleReport rep = idx.staleReport();
 
   // The scenario must actually produce stale-route drops...
@@ -146,17 +151,19 @@ TEST(CausalAttributionTest, CausalChainsAreIdenticalAcrossSweepJobCounts) {
 
   for (int rep = 0; rep < 2; ++rep) {
     const std::string suffix = "/trace.r" + std::to_string(rep) + ".jsonl";
-    const auto a = telemetry::readJsonlFile(dirA + suffix);
-    const auto b = telemetry::readJsonlFile(dirB + suffix);
-    ASSERT_TRUE(a.has_value()) << dirA + suffix;
-    ASSERT_TRUE(b.has_value()) << dirB + suffix;
-    ASSERT_GT(a->size(), 0u);
     // The raw per-run traces are byte-identical across worker counts...
-    EXPECT_EQ(*a, *b) << "rep " << rep;
+    const std::string bytesA = slurp(dirA + suffix);
+    ASSERT_FALSE(bytesA.empty()) << dirA + suffix;
+    EXPECT_EQ(bytesA, slurp(dirB + suffix)) << "rep " << rep;
 
     // ...and so is every rendered causal chain and the attribution report.
-    const telemetry::CausalIndex ia = telemetry::CausalIndex::fromLines(*a);
-    const telemetry::CausalIndex ib = telemetry::CausalIndex::fromLines(*b);
+    auto a = telemetry::readTrace(dirA + suffix);
+    auto b = telemetry::readTrace(dirB + suffix);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    EXPECT_TRUE(a->errors.empty()) << a->errors.front();
+    EXPECT_TRUE(b->errors.empty()) << b->errors.front();
+    const telemetry::CausalIndex ia(std::move(a->records));
+    const telemetry::CausalIndex ib(std::move(b->records));
     EXPECT_EQ(ia.staleReport().render(), ib.staleReport().render());
     int compared = 0;
     for (const telemetry::CausalRecord& r : ia.records()) {

@@ -139,7 +139,7 @@ TEST(ProfDeterminismTest, GaugePeaksArePopulated) {
 
 // The hotspot layer's own determinism contract: every non-wall-time field
 // is a pure function of the simulation, so two same-seed profiled runs
-// must agree exactly — the property `manet_prof --diff` builds on.
+// must agree exactly — the property `manet prof --diff` builds on.
 TEST(ProfDeterminismTest, HotspotFieldsIdenticalAcrossSameSeedRuns) {
   ScenarioConfig c = cfg();
   c.prof.enabled = true;

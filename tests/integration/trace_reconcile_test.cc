@@ -7,10 +7,12 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/scenario/scenario.h"
-#include "src/telemetry/trace_reader.h"
+#include "src/telemetry/causal.h"
 
 namespace manet {
 namespace {
@@ -34,6 +36,16 @@ scenario::ScenarioConfig congestedScenario() {
   return cfg;
 }
 
+/// readTrace(path), asserting that the file opened and that no line was
+/// skipped: the reconciliation below must see every record.
+telemetry::TraceReadResult readAll(const std::string& path) {
+  std::optional<telemetry::TraceReadResult> read = telemetry::readTrace(path);
+  EXPECT_TRUE(read.has_value()) << path;
+  if (!read) return {};
+  EXPECT_TRUE(read->errors.empty()) << read->errors.front();
+  return std::move(*read);
+}
+
 struct TraceCounts {
   std::uint64_t originated = 0;
   std::uint64_t delivered = 0;
@@ -52,25 +64,21 @@ TEST(TraceReconcileTest, JsonlDropCountsMatchMetricsExactly) {
   const scenario::RunResult r = scenario::runScenario(cfg);
   const metrics::Metrics& m = r.metrics;
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
-  ASSERT_GT(lines->size(), 0u);
+  const auto read = readAll(path);
+  ASSERT_GT(read.records.size(), 0u);
 
   TraceCounts c;
-  for (const std::string& line : *lines) {
+  for (const telemetry::CausalRecord& rec : read.records) {
     ++c.lines;
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value()) << line;
-    if (*ev == "pkt_originate") {
+    if (rec.event == "pkt_originate") {
       ++c.originated;
-    } else if (*ev == "pkt_deliver") {
+    } else if (rec.event == "pkt_deliver") {
       ++c.delivered;
-    } else if (*ev == "pkt_forward") {
+    } else if (rec.event == "pkt_forward") {
       ++c.forwarded;
-    } else if (*ev == "pkt_drop") {
-      const auto reason = telemetry::jsonStringField(line, "reason");
-      ASSERT_TRUE(reason.has_value()) << line;
-      ++c.dropsByReason[*reason];
+    } else if (rec.event == "pkt_drop") {
+      ASSERT_FALSE(rec.reason.empty()) << "drop at t=" << rec.t;
+      ++c.dropsByReason[rec.reason];
     }
   }
 
@@ -116,23 +124,19 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
   const scenario::RunResult r = scenario::runScenario(cfg);
   const metrics::Metrics& m = r.metrics;
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
+  const auto read = readAll(path);
 
   std::map<std::string, std::uint64_t> dropsByReason;
   std::uint64_t crashes = 0, recoveries = 0, bursts = 0;
-  for (const std::string& line : *lines) {
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value());
-    if (*ev == "pkt_drop") {
-      const auto reason = telemetry::jsonStringField(line, "reason");
-      ASSERT_TRUE(reason.has_value()) << line;
-      ++dropsByReason[*reason];
-    } else if (*ev == "node_crash") {
+  for (const telemetry::CausalRecord& rec : read.records) {
+    if (rec.event == "pkt_drop") {
+      ASSERT_FALSE(rec.reason.empty()) << "drop at t=" << rec.t;
+      ++dropsByReason[rec.reason];
+    } else if (rec.event == "node_crash") {
       ++crashes;
-    } else if (*ev == "node_recover") {
+    } else if (rec.event == "node_recover") {
       ++recoveries;
-    } else if (*ev == "noise_burst") {
+    } else if (rec.event == "noise_burst") {
       ++bursts;
     }
   }
@@ -162,17 +166,14 @@ TEST(TraceReconcileTest, CacheEventsArePresentAndConsistent) {
   cfg.telemetry.traceJsonlPath = path;
   const scenario::RunResult r = scenario::runScenario(cfg);
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
+  const auto read = readAll(path);
 
   std::uint64_t hits = 0, linkBreaks = 0, negInserts = 0, rerrs = 0;
-  for (const std::string& line : *lines) {
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value());
-    if (*ev == "cache_hit") ++hits;
-    if (*ev == "link_break") ++linkBreaks;
-    if (*ev == "neg_cache_insert") ++negInserts;
-    if (*ev == "rerr_originate") ++rerrs;
+  for (const telemetry::CausalRecord& rec : read.records) {
+    if (rec.event == "cache_hit") ++hits;
+    if (rec.event == "link_break") ++linkBreaks;
+    if (rec.event == "neg_cache_insert") ++negInserts;
+    if (rec.event == "rerr_originate") ++rerrs;
   }
   EXPECT_EQ(hits, r.metrics.cacheHits);
   EXPECT_EQ(linkBreaks, r.metrics.linkBreaksDetected);
@@ -195,9 +196,8 @@ TEST(TraceReconcileTest, RingSinkSeesTheSameStreamAsJsonl) {
   scn.run();
 
   ASSERT_NE(scn.ring(), nullptr);
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
-  EXPECT_EQ(scn.ring()->totalRecorded(), lines->size());
+  const auto read = readAll(path);
+  EXPECT_EQ(scn.ring()->totalRecorded(), read.records.size());
 
   std::remove(path.c_str());
 }

@@ -240,6 +240,24 @@ TEST(JournalTest, CorruptMiddleLinesAndUnknownTypesAreSkipped) {
   fs::remove(path);
 }
 
+TEST(JournalTest, TooDeeplyNestedLineCountsAsCorrupt) {
+  const fs::path path = fs::temp_directory_path() / "manet_journal_deep.jsonl";
+  fs::remove(path);
+  JournalWriter w(path.string());
+  JournalEntry e;
+  e.label = "p";
+  e.rep = 0;
+  e.key = "k";
+  e.status = "done";
+  e.resultJson = runResultToJournalJson(RunResult{});
+  ASSERT_TRUE(w.cell(e));
+  util::appendLineDurable(path.string(), std::string(10000, '['));
+  const JournalState s = loadJournal(path.string());
+  EXPECT_EQ(s.corruptLines, 1u);
+  EXPECT_EQ(s.cells.size(), 1u);
+  fs::remove(path);
+}
+
 TEST(JournalTest, LastRecordPerCellWins) {
   const fs::path path = fs::temp_directory_path() / "manet_journal_last.jsonl";
   fs::remove(path);

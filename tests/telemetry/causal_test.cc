@@ -1,20 +1,30 @@
-// Causal layer unit tests: JSONL line parsing, live-record projection,
-// ancestry / child walks, chain rendering, the stale-drop attribution
-// report, and the validating JSONL reader feeding all of it.
+// Causal layer unit tests: live-record projection, ancestry / child walks,
+// chain rendering, the stale-drop attribution report, and readTrace, the
+// validating JSONL reader feeding all of it (including a seeded mutation
+// test over a real trace).
 #include "src/telemetry/causal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/sim/rng.h"
 #include "src/telemetry/trace.h"
-#include "src/telemetry/trace_reader.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 namespace {
+
+/// readTrace over in-memory JSONL text.
+TraceReadResult readText(const std::string& text) {
+  std::istringstream in(text);
+  return readTrace(in);
+}
 
 CausalRecord rec(double t, const char* event, std::uint64_t uid,
                  std::uint64_t cause = 0) {
@@ -84,8 +94,12 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
   t.prov = net::RouteProvenance{5, net::RouteOrigin::kTargetReply, 8,
                                 sim::Time::fromSeconds(0.5), 3};
 
-  CausalRecord parsed;
-  ASSERT_TRUE(parseCausalLine(toJson(t), parsed));
+  t.flowId = 4;
+
+  const TraceReadResult read = readText(toJson(t) + "\n");
+  ASSERT_TRUE(read.errors.empty()) << read.errors.front();
+  ASSERT_EQ(read.records.size(), 1u);
+  const CausalRecord& parsed = read.records.front();
   const CausalRecord direct = toCausalRecord(t);
   EXPECT_DOUBLE_EQ(parsed.t, direct.t);
   EXPECT_EQ(parsed.event, direct.event);
@@ -95,6 +109,8 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
   EXPECT_EQ(parsed.cause, direct.cause);
   EXPECT_EQ(parsed.src, direct.src);
   EXPECT_EQ(parsed.dst, direct.dst);
+  EXPECT_EQ(parsed.flow, 4u);
+  EXPECT_EQ(parsed.flow, direct.flow);
   EXPECT_EQ(parsed.detail, direct.detail);
   EXPECT_EQ(parsed.prov, direct.prov);
   EXPECT_EQ(parsed.origin, direct.origin);
@@ -104,9 +120,56 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
 }
 
 TEST(CausalTest, ParseCausalLineRejectsNonRecords) {
-  CausalRecord r;
-  EXPECT_FALSE(parseCausalLine("{\"foo\":1}", r));
-  EXPECT_FALSE(parseCausalLine("", r));
+  // An object without a string "ev" is not a trace record; an empty line is
+  // skipped without an error.
+  const TraceReadResult read =
+      readText("{\"foo\":1}\n\n{\"ev\":7}\n[1,2]\n");
+  EXPECT_TRUE(read.records.empty());
+  ASSERT_EQ(read.errors.size(), 3u);
+  EXPECT_EQ(read.errors[0].rfind("line 1:", 0), 0u) << read.errors[0];
+  EXPECT_EQ(read.errors[1].rfind("line 3:", 0), 0u) << read.errors[1];
+  EXPECT_EQ(read.errors[2], "line 4: not a JSON object");
+}
+
+TEST(CausalTest, ReadTraceRejectsOutOfRangeIntegerFields) {
+  // Each of these would wrap or be undefined behaviour as a plain cast.
+  const char* bad[] = {
+      "{\"ev\":\"pkt_drop\",\"uid\":1e20}",
+      "{\"ev\":\"pkt_drop\",\"uid\":-1}",
+      "{\"ev\":\"pkt_drop\",\"uid\":1e300}",
+      "{\"ev\":\"pkt_drop\",\"uid\":1.5}",
+      "{\"ev\":\"pkt_drop\",\"uid\":\"7\"}",
+      "{\"ev\":\"pkt_drop\",\"node\":4294967296}",
+      "{\"ev\":\"pkt_drop\",\"flow\":-3}",
+      "{\"ev\":\"pkt_drop\",\"phops\":1e10}",
+      "{\"ev\":\"pkt_drop\",\"detail\":1e19}",
+      "{\"ev\":\"pkt_drop\",\"t\":1e999}",
+      "{\"ev\":\"pkt_drop\",\"reason\":3}",
+  };
+  for (const char* line : bad) {
+    const TraceReadResult read = readText(line);
+    EXPECT_TRUE(read.records.empty()) << line;
+    ASSERT_EQ(read.errors.size(), 1u) << line;
+    EXPECT_EQ(read.errors[0].rfind("line 1: ", 0), 0u) << read.errors[0];
+  }
+  // The extremes that do fit are kept exactly.
+  const TraceReadResult ok = readText(
+      "{\"ev\":\"x\",\"node\":4294967295,\"detail\":-4096,"
+      "\"uid\":9007199254740992}");
+  ASSERT_EQ(ok.records.size(), 1u) << ok.errors.front();
+  EXPECT_EQ(ok.records[0].node, 4294967295u);
+  EXPECT_EQ(ok.records[0].detail, -4096);
+  EXPECT_EQ(ok.records[0].uid, 9007199254740992u);
+}
+
+TEST(CausalTest, ReadTraceReportsTooDeepNestingAsMalformed) {
+  const std::string deep(10000, '[');
+  const TraceReadResult read =
+      readText("{\"ev\":\"pkt_originate\",\"uid\":1}\n" + deep + "\n");
+  EXPECT_EQ(read.records.size(), 1u);
+  ASSERT_EQ(read.errors.size(), 1u);
+  EXPECT_EQ(read.errors[0].rfind("line 2: nesting deeper than 256", 0), 0u)
+      << read.errors[0];
 }
 
 // ----------------------------------------------------------- chain walks
@@ -226,10 +289,9 @@ TEST(CausalTest, CheckedReaderReportsMalformedLinesWithNumbers) {
     out << "{\"ev\":\"pkt_deliver\",\"uid\":1}\n";
     out << "{\"ev\":\"pkt_drop\",\"uid\":2\n";  // truncated tail
   }
-  const auto result = readJsonlFileChecked(path);
+  const auto result = readTrace(path);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->lines.size(), 2u);
-  EXPECT_EQ(result->skipped, 2u);
+  EXPECT_EQ(result->records.size(), 2u);
   ASSERT_EQ(result->errors.size(), 2u);
   EXPECT_EQ(result->errors[0].rfind("line 2:", 0), 0u) << result->errors[0];
   EXPECT_EQ(result->errors[1].rfind("line 4:", 0), 0u) << result->errors[1];
@@ -237,19 +299,137 @@ TEST(CausalTest, CheckedReaderReportsMalformedLinesWithNumbers) {
 }
 
 TEST(CausalTest, CheckedReaderMissingFileIsNullopt) {
-  EXPECT_FALSE(
-      readJsonlFileChecked("/nonexistent/causal_nope.jsonl").has_value());
+  EXPECT_FALSE(readTrace("/nonexistent/causal_nope.jsonl").has_value());
 }
 
 TEST(CausalTest, FromLinesSkipsNonRecordLines) {
-  const std::vector<std::string> lines = {
-      "{\"ev\":\"pkt_originate\",\"uid\":7,\"t\":0.5}",
-      "{\"not_a_record\":true}",
-      "{\"ev\":\"pkt_deliver\",\"uid\":7,\"t\":0.9}",
-  };
-  const CausalIndex idx = CausalIndex::fromLines(lines);
+  TraceReadResult read = readText(
+      "{\"ev\":\"pkt_originate\",\"uid\":7,\"t\":0.5}\n"
+      "{\"not_a_record\":true}\n"
+      "{\"ev\":\"pkt_deliver\",\"uid\":7,\"t\":0.9}\n");
+  ASSERT_EQ(read.errors.size(), 1u);
+  EXPECT_EQ(read.errors[0].rfind("line 2:", 0), 0u) << read.errors[0];
+  const CausalIndex idx(std::move(read.records));
   EXPECT_EQ(idx.records().size(), 2u);
   EXPECT_EQ(idx.packetRecords(7).size(), 2u);
+}
+
+// -------------------------------------------------------- mutation test
+
+std::vector<std::string> fixtureLines() {
+  std::ifstream in(TRACE_FIXTURE);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
+/// The record a mutated line must still produce if it is accepted: every
+/// integer field, checked against what the line's own JSON tree says.
+void expectFaithful(const std::string& line, const CausalRecord& r) {
+  const auto doc = util::parseJson(line);
+  ASSERT_TRUE(doc.has_value()) << line;
+  const auto same = [&](const char* key, double got) {
+    if (const util::JsonValue* v = doc->find(key)) {
+      EXPECT_EQ(v->asNumber(), got) << key << " in " << line;
+    } else {
+      EXPECT_EQ(got, 0.0) << key << " in " << line;
+    }
+  };
+  same("uid", static_cast<double>(r.uid));
+  same("cause", static_cast<double>(r.cause));
+  same("prov", static_cast<double>(r.prov));
+  same("node", r.node);
+  same("src", r.src);
+  same("dst", r.dst);
+  same("flow", r.flow);
+  same("detail", static_cast<double>(r.detail));
+  same("phops", r.provHops);
+}
+
+/// Replace the value of integer field `key` in `line` with `value`.
+std::string withField(std::string line, const std::string& key,
+                      const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return line;
+  const std::size_t start = at + needle.size();
+  const std::size_t end = line.find_first_of(",}", start);
+  return line.replace(start, end - start, value);
+}
+
+TEST(CausalTest, SeededMutationsYieldRecordsOrLineErrors) {
+  const std::vector<std::string> base = fixtureLines();
+  ASSERT_GT(base.size(), 50u) << TRACE_FIXTURE;
+  const char* kFields[] = {"uid",  "cause", "prov",  "node", "src",
+                           "dst",  "flow",  "detail", "phops"};
+  const char* kValues[] = {"1e300", "-1", "1e20", "-1e300", "4294967296",
+                           "18446744073709551616", "0.5", "1e999", "\"x\"",
+                           "[1]", "null", "9223372036854775808"};
+  sim::Rng rng(20011);
+  // A uniform index in [0, n).
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::string text;
+  std::vector<std::string> mutated;
+  for (int i = 0; i < 4000; ++i) {
+    std::string line = base[pick(base.size())];
+    switch (pick(5)) {
+      case 0:  // truncation
+        line.resize(pick(line.size() + 1));
+        break;
+      case 1:  // byte flips
+        for (std::size_t f = pick(4) + 1; f > 0 && !line.empty(); --f) {
+          char& c = line[pick(line.size())];
+          c = static_cast<char>(c ^ (1 << pick(8)));
+        }
+        break;
+      case 2:  // huge, negative, fractional or mistyped integer fields
+        line = withField(line, kFields[pick(std::size(kFields))],
+                         kValues[pick(std::size(kValues))]);
+        break;
+      case 3: {  // deep nesting in place of a value
+        const std::size_t depth = 200 + pick(20000);
+        line = withField(line, "node",
+                         std::string(depth, '[') + std::string(depth, ']'));
+        break;
+      }
+      default:  // untouched
+        break;
+    }
+    if (line.find('\n') != std::string::npos) continue;  // flipped into '\n'
+    mutated.push_back(line);
+    text += line;
+    text += '\n';
+  }
+
+  const TraceReadResult read = readText(text);
+  // Every non-empty line is accounted for exactly once: a record or an
+  // error naming its line.
+  std::size_t nonEmpty = 0;
+  for (const std::string& l : mutated) nonEmpty += l.empty() ? 0 : 1;
+  EXPECT_EQ(read.records.size() + read.errors.size(), nonEmpty);
+  EXPECT_GT(read.records.size(), 0u);
+  EXPECT_GT(read.errors.size(), 0u);
+
+  std::size_t rec = 0, err = 0;
+  for (std::size_t i = 0; i < mutated.size(); ++i) {
+    if (mutated[i].empty()) continue;
+    const std::string prefix = "line " + std::to_string(i + 1) + ": ";
+    if (err < read.errors.size() && read.errors[err].rfind(prefix, 0) == 0) {
+      ++err;
+      continue;
+    }
+    ASSERT_LT(rec, read.records.size()) << "line " << i + 1;
+    expectFaithful(mutated[i], read.records[rec]);
+    ++rec;
+  }
+  EXPECT_EQ(rec, read.records.size());
+  EXPECT_EQ(err, read.errors.size());
 }
 
 }  // namespace

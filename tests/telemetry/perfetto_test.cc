@@ -128,8 +128,11 @@ TEST(PerfettoTest, ConvertJsonlRoundTripsTraceLines) {
   t.node = 1;
   t.kind = net::PacketKind::kData;
   t.uid = 5;
-  const std::vector<std::string> lines = {toJson(t), "{\"not_a_record\":1}"};
-  const long events = convertJsonlToPerfetto(lines, path);
+  std::istringstream jsonl(toJson(t) + "\n{\"not_a_record\":1}\n");
+  const TraceReadResult read = readTrace(jsonl);
+  ASSERT_EQ(read.records.size(), 1u);
+  ASSERT_EQ(read.errors.size(), 1u);  // the non-record line
+  const long events = convertJsonlToPerfetto(read.records, path);
   ASSERT_GT(events, 0);
   const util::JsonValue doc = parseFile(path);
   ASSERT_TRUE(doc.isArray());
@@ -142,7 +145,7 @@ TEST(PerfettoTest, ConvertJsonlRoundTripsTraceLines) {
   // parent-dir creation cannot help) reports failure as a negative count.
   const std::string blocker = ::testing::TempDir() + "/perfetto_blocker";
   { std::ofstream(blocker) << "x"; }
-  EXPECT_LT(convertJsonlToPerfetto(lines, blocker + "/x.json"), 0);
+  EXPECT_LT(convertJsonlToPerfetto(read.records, blocker + "/x.json"), 0);
   std::remove(path.c_str());
   std::remove(blocker.c_str());
 }

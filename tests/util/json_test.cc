@@ -1,5 +1,5 @@
-// util::parseJson: the minimal parser that reads back the repo's own
-// nested JSON output (BENCH_*.json, structured run exports).
+// util::parseJson: the repo's one JSON reader (traces, journals,
+// BENCH_*.json, structured run exports).
 #include <gtest/gtest.h>
 
 #include "src/util/json.h"
@@ -75,6 +75,25 @@ TEST(JsonTest, WrongTypeAccessorsFallBack) {
   EXPECT_EQ(v->asString(), "");
   EXPECT_DOUBLE_EQ(v->asNumber(9.0), 9.0);
   EXPECT_EQ(v->find("k"), nullptr);
+}
+
+TEST(JsonTest, NestingIsBoundedByMaxDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_TRUE(parseJson(nested(kMaxJsonDepth, '[', ']')).has_value());
+  std::string err;
+  EXPECT_FALSE(parseJson(nested(kMaxJsonDepth + 1, '[', ']'), &err));
+  EXPECT_EQ(err.rfind("nesting deeper than 256 at offset 256", 0), 0u) << err;
+  // Far past the limit (this depth overflowed the stack before the bound)
+  // and through objects too: a clean error, not a crash.
+  EXPECT_FALSE(parseJson(std::string(10000, '['), &err));
+  EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
+  std::string objects;
+  for (int i = 0; i < 10000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(parseJson(objects, &err));
+  EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -1000,7 +1000,7 @@ const Fixture kFixtures[] = {
     {"subprocess fine in tests", "tests/integration/ok_sys.cc",
      "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
      nullptr},
-    {"subprocess fine in tools", "tools/manet_ctl/ok_sys.cc",
+    {"subprocess fine in tools", "tools/manet/ok_sys.cc",
      "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
      nullptr},
     {"hotspot-guard hit", "src/net/bad_hotspot.cc",
