@@ -62,6 +62,8 @@ GridNeighborIndex::GridNeighborIndex(sim::Scheduler& sched, double cellRange,
       // Cell size covers the query disc plus the worst drift between two
       // refreshes, so a 3x3 cell block around any query point always holds
       // every possible receiver.
+      // manet-lint: allow(float-time): fixed-op drift bound that only sizes
+      // the cells; receivers are still filtered by exact distance.
       cellSize_(cellRange + speedBound * refreshPeriod.toSeconds()),
       speedBound_(speedBound),
       refreshPeriod_(refreshPeriod) {}
@@ -104,6 +106,9 @@ void GridNeighborIndex::forEachInRange(const Vec2& pos, double range,
   // A radio in range *now* was bucketed at most `slack` meters away from its
   // current position, so searching the cells within `range + slack` of the
   // query point yields a guaranteed superset of the true receiver set.
+  // manet-lint: allow(float-time): fixed-op slack that only widens the
+  // superset; the loop below filters by exact distance in attach order,
+  // so the visited set equals the scan index's (engine_equivalence_test).
   const double slack = speedBound_ * (now - lastRefresh_).toSeconds();
   const double reach = range + slack;
 

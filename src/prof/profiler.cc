@@ -415,15 +415,8 @@ std::string hotspotJson(const HotspotReport& h) {
     out += "}";
   }
   out += "],";
-  appendHotspotSections(out, h.fanout, h.queue, h.alloc);
-  out += "}";
-  return out;
-}
-
-void appendHotspotSections(
-    std::string& out, const FanoutReport& fanout, const QueueReport& queue,
-    const std::array<AllocSiteStats, kNumAllocSites>& alloc) {
-  char buf[512];
+  const FanoutReport& fanout = h.fanout;
+  const QueueReport& queue = h.queue;
   std::snprintf(buf, sizeof(buf),
                 "\"fanout\":{\"transmissions\":%" PRIu64
                 ",\"radios_examined\":%" PRIu64 ",\"radios_in_range\":%" PRIu64
@@ -457,7 +450,7 @@ void appendHotspotSections(
   }
   out += "]},\"alloc\":{";
   for (std::size_t s = 0; s < kNumAllocSites; ++s) {
-    const AllocSiteStats& st = alloc[s];
+    const AllocSiteStats& st = h.alloc[s];
     std::snprintf(buf, sizeof(buf),
                   "%s\"%s\":{\"count\":%" PRIu64 ",\"bytes\":%" PRIu64
                   ",\"live\":%" PRIu64 ",\"high_water\":%" PRIu64 "}",
@@ -465,7 +458,8 @@ void appendHotspotSections(
                   st.count, st.bytes, st.live, st.highWater);
     out += buf;
   }
-  out += "}";
+  out += "}}";
+  return out;
 }
 
 }  // namespace manet::prof

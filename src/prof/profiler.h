@@ -201,20 +201,13 @@ struct Report {
   HotspotReport hotspot;
 };
 
-/// The run's per-category breakdown as one JSON object (used by the run
-/// export and by bench/perf_baseline).
+/// The run's per-category breakdown as one JSON object (the run export's
+/// "profile" section).
 std::string toJson(const Report& r);
 
-/// The hotspot sub-report alone (embedded in toJson; also used directly by
-/// bench/perf_baseline for schema-v2 BENCH records).
+/// The hotspot sub-report alone (per-entity costs, fan-out, queue and
+/// allocation sections; embedded in toJson).
 std::string hotspotJson(const HotspotReport& h);
-
-/// Append the fan-out, queue and alloc sections shared by hotspotJson and
-/// the BENCH report's hotspot record: `"fanout":{..},"queue":{..},
-/// "alloc":{..}`, no surrounding braces.
-void appendHotspotSections(
-    std::string& out, const FanoutReport& fanout, const QueueReport& queue,
-    const std::array<AllocSiteStats, kNumAllocSites>& alloc);
 
 /// Process peak resident set size in bytes (VmHWM; getrusage fallback).
 /// Returns 0 when unavailable.
@@ -233,7 +226,7 @@ double tscNsPerTick();
 /// On x86-64 this is a raw rdtsc (the invariant counter vdso
 /// CLOCK_MONOTONIC is itself built on) scaled by a once-per-process
 /// calibration — profilers read the clock several times per dispatched
-/// event, and an out-of-line clock_gettime there costs >20% of a BENCH
+/// event, and an out-of-line clock_gettime there costs >20% of a profiled
 /// run. Values feed reports only; they can never perturb the simulation.
 inline std::uint64_t fastClockNs() {
 #if defined(__x86_64__)

@@ -149,6 +149,10 @@ void arrU(std::string& out, const char* key,
 
 // ---------------------------------------------------------------- reading
 
+// Every integer read below goes through util::asInteger: a value that is
+// not a whole number in the field's range rejects the payload or line
+// instead of being cast (undefined behaviour for e.g. 1e20 into an int).
+
 bool readU64(const util::JsonValue& obj, const char* key, std::uint64_t* out,
              std::string* err) {
   const util::JsonValue* v = obj.find(key);
@@ -156,7 +160,14 @@ bool readU64(const util::JsonValue& obj, const char* key, std::uint64_t* out,
     if (err != nullptr) *err = std::string("missing field '") + key + "'";
     return false;
   }
-  *out = static_cast<std::uint64_t>(v->asNumber());
+  const std::optional<std::uint64_t> n = util::asInteger<std::uint64_t>(*v);
+  if (!n) {
+    if (err != nullptr) {
+      *err = std::string("field '") + key + "' is not an integer in range";
+    }
+    return false;
+  }
+  *out = *n;
   return true;
 }
 
@@ -169,7 +180,15 @@ bool readVecD(const util::JsonValue& obj, const char* key,
   }
   out->clear();
   out->reserve(v->asArray().size());
-  for (const util::JsonValue& e : v->asArray()) out->push_back(e.asNumber());
+  for (const util::JsonValue& e : v->asArray()) {
+    if (!e.isNumber()) {
+      if (err != nullptr) {
+        *err = std::string("array '") + key + "' holds a non-number";
+      }
+      return false;
+    }
+    out->push_back(e.asNumber());
+  }
   return true;
 }
 
@@ -183,7 +202,14 @@ bool readVecU(const util::JsonValue& obj, const char* key,
   out->clear();
   out->reserve(v->asArray().size());
   for (const util::JsonValue& e : v->asArray()) {
-    out->push_back(static_cast<std::uint64_t>(e.asNumber()));
+    const std::optional<std::uint64_t> n = util::asInteger<std::uint64_t>(e);
+    if (!n) {
+      if (err != nullptr) {
+        *err = std::string("array '") + key + "' holds a non-integer";
+      }
+      return false;
+    }
+    out->push_back(*n);
   }
   return true;
 }
@@ -380,12 +406,14 @@ std::optional<RunResult> runResultFromJournalJson(const std::string& json,
   const util::JsonValue* dur = doc->find("duration_ns");
   const util::JsonValue* met = doc->find("metrics");
   const util::JsonValue* ser = doc->find("series");
-  if (dur == nullptr || !dur->isNumber() || met == nullptr ||
-      !met->isObject() || ser == nullptr || !ser->isObject()) {
+  const std::optional<std::int64_t> durNs =
+      dur == nullptr ? std::nullopt : util::asInteger<std::int64_t>(*dur);
+  if (!durNs || met == nullptr || !met->isObject() || ser == nullptr ||
+      !ser->isObject()) {
     if (err != nullptr) *err = "payload missing duration/metrics/series";
     return std::nullopt;
   }
-  r.duration = sim::Time::nanos(static_cast<std::int64_t>(dur->asNumber()));
+  r.duration = sim::Time::nanos(*durNs);
   if (!readU64(*doc, "events_executed", &r.eventsExecuted, err)) {
     return std::nullopt;
   }
@@ -407,13 +435,22 @@ std::optional<RunResult> runResultFromJournalJson(const std::string& json,
       return std::nullopt;
     }
     for (std::size_t i = 0; i < net::kNumRouteOrigins; ++i) {
-      m.invalidCacheHitsByOrigin[i] =
-          static_cast<std::uint64_t>(origins->asArray()[i].asNumber());
+      const std::optional<std::uint64_t> n =
+          util::asInteger<std::uint64_t>(origins->asArray()[i]);
+      if (!n) {
+        if (err != nullptr) *err = "bad invalid_hits_by_origin array";
+        return std::nullopt;
+      }
+      m.invalidCacheHitsByOrigin[i] = *n;
     }
   }
   telemetry::SampleSeries& s = r.series;
-  s.period =
-      sim::Time::nanos(static_cast<std::int64_t>(ser->numberAt("period_ns")));
+  std::int64_t periodNs = 0;
+  if (!util::readIntegerField(*ser, "period_ns", periodNs)) {
+    if (err != nullptr) *err = "field 'period_ns' is not an integer in range";
+    return std::nullopt;
+  }
+  s.period = sim::Time::nanos(periodNs);
   if (!readVecD(*ser, "t_s", &s.timeSec, err) ||
       !readVecD(*ser, "mean_cache_size", &s.meanCacheSize, err) ||
       !readVecD(*ser, "invalid_entry_frac", &s.invalidEntryFrac, err) ||
@@ -488,21 +525,24 @@ JournalState loadJournal(const std::string& path) {
     const std::string type = doc->stringAt("type");
     if (type == "campaign") {
       CampaignInfo c;
+      if (!util::readIntegerField(*doc, "points", c.points) ||
+          !util::readIntegerField(*doc, "replications", c.replications)) {
+        ++state.corruptLines;
+        continue;
+      }
       c.plan = doc->stringAt("plan");
-      c.points = static_cast<std::size_t>(doc->numberAt("points"));
-      c.replications = static_cast<int>(doc->numberAt("replications"));
       c.codeVersion = doc->stringAt("code_version");
       c.cmd = doc->stringAt("cmd");
       state.campaigns.push_back(std::move(c));
     } else if (type == "cell") {
       JournalEntry e;
       e.label = doc->stringAt("label");
-      e.rep = static_cast<int>(doc->numberAt("rep"));
       e.key = doc->stringAt("key");
       e.status = doc->stringAt("status");
-      e.attempts = static_cast<int>(doc->numberAt("attempts", 1));
       e.error = doc->stringAt("error");
-      if (e.label.empty() || e.status.empty()) {
+      if (e.label.empty() || e.status.empty() ||
+          !util::readIntegerField(*doc, "rep", e.rep) ||
+          !util::readIntegerField(*doc, "attempts", e.attempts)) {
         ++state.corruptLines;
         continue;
       }

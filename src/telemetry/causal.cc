@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <unordered_set>
 
@@ -21,20 +20,9 @@ namespace {
 template <typename T>
 bool readInt(const util::JsonValue& obj, const char* key, T& out,
              std::string& why) {
-  const util::JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  const double d = v->isNumber() ? v->asNumber() : std::nan("");
-  // max + 1.0 rounds to exactly 2^digits for the 32- and 64-bit fields
-  // read here, so `d < hi` admits every double that fits.
-  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
-  constexpr double hi =
-      static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
-  if (!(d >= lo && d < hi && d == std::trunc(d))) {
-    why = std::string("\"") + key + "\" is not an integer in range";
-    return false;
-  }
-  out = static_cast<T>(d);
-  return true;
+  if (util::readIntegerField(obj, key, out)) return true;
+  why = std::string("\"") + key + "\" is not an integer in range";
+  return false;
 }
 
 bool readFinite(const util::JsonValue& obj, const char* key, double& out,

@@ -1,7 +1,7 @@
 // Crash-safe file writes: write-temp-then-rename, with an fsync before the
 // rename so a power cut or SIGKILL can never leave a torn or truncated
 // artifact under the final name. Every structured export in the repo
-// (aggregate JSON, series/table CSVs, BENCH_*.json, journal cell payloads)
+// (aggregate JSON, series/table CSVs, journal cell payloads)
 // goes through this helper; readers therefore only ever see a file that is
 // either absent or complete.
 #pragma once

@@ -5,7 +5,6 @@
 // simulation RNG stream, never a mutating accessor).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -139,7 +138,8 @@ TEST(ProfDeterminismTest, GaugePeaksArePopulated) {
 
 // The hotspot layer's own determinism contract: every non-wall-time field
 // is a pure function of the simulation, so two same-seed profiled runs
-// must agree exactly — the property `manet prof --diff` builds on.
+// must agree exactly — the property the exact-count performance gate
+// builds on.
 TEST(ProfDeterminismTest, HotspotFieldsIdenticalAcrossSameSeedRuns) {
   ScenarioConfig c = cfg();
   c.prof.enabled = true;
@@ -176,13 +176,6 @@ TEST(ProfDeterminismTest, HotspotFieldsIdenticalAcrossSameSeedRuns) {
     EXPECT_EQ(ha.alloc[i].live, hb.alloc[i].live) << "site " << i;
     EXPECT_EQ(ha.alloc[i].highWater, hb.alloc[i].highWater) << "site " << i;
   }
-  // Positions come from the deterministic mobility model.
-  ASSERT_EQ(a.nodePositions.size(), b.nodePositions.size());
-  for (std::size_t i = 0; i < a.nodePositions.size(); ++i) {
-    EXPECT_EQ(a.nodePositions[i].x, b.nodePositions[i].x);
-    EXPECT_EQ(a.nodePositions[i].y, b.nodePositions[i].y);
-  }
-
   // And the hotspot layer saw real traffic in this scenario.
   EXPECT_GT(ha.fanout.transmissions, 0u);
   EXPECT_GT(ha.queue.scheduled, 0u);
@@ -193,18 +186,6 @@ TEST(ProfDeterminismTest, HotspotFieldsIdenticalAcrossSameSeedRuns) {
                 .count,
             0u);
   EXPECT_FALSE(ha.entities.empty());
-
-  // Spatial heatmap export: one header plus one row per active entity,
-  // prefixed with the scenario name.
-  const std::string csv = telemetry::heatmapCsv(a, "det_check");
-  ASSERT_FALSE(csv.empty());
-  EXPECT_EQ(csv.rfind("scenario,node,x,y,activations", 0), 0u);
-  const std::size_t rows =
-      static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(rows, ha.entities.size() + 1);
-  EXPECT_NE(csv.find("\ndet_check,"), std::string::npos);
-  // Profiling off => no heatmap.
-  EXPECT_TRUE(telemetry::heatmapCsv(runScenario(cfg()), "x").empty());
 }
 
 }  // namespace

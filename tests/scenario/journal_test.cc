@@ -5,9 +5,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
+#include "src/sim/rng.h"
 #include "src/util/atomic_file.h"
+#include "src/util/json.h"
 
 namespace manet::scenario {
 namespace {
@@ -279,6 +283,173 @@ TEST(JournalTest, LastRecordPerCellWins) {
   ASSERT_EQ(s.cells.size(), 1u);
   EXPECT_EQ(s.cells.at({"p", 0}).status, "done");
   EXPECT_EQ(s.cells.at({"p", 0}).key, "k2");
+  fs::remove(path);
+}
+
+// -------------------------------------------------------- mutation test
+
+/// Replace the value of field `key` in `line` with `value` (up to the next
+/// ',' or '}', so for an array only its first element is replaced when
+/// `value` starts with '[').
+std::string withField(std::string line, const std::string& key,
+                      const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return line;
+  const std::size_t start = at + needle.size();
+  const std::size_t end = line.find_first_of(",}", start);
+  return line.replace(start, end - start, value);
+}
+
+/// `got` must be what `obj[key]` says, or `absent` when the key is absent.
+void expectSame(const util::JsonValue& obj, const char* key, double got,
+                double absent, const std::string& line) {
+  const util::JsonValue* v = obj.find(key);
+  EXPECT_EQ(v != nullptr ? v->asNumber() : absent, got) << key << " in "
+                                                         << line;
+}
+
+/// A payload runResultFromJournalJson accepted must carry exactly the
+/// integers its JSON holds.
+void expectFaithfulPayload(const RunResult& r, const std::string& line) {
+  const auto doc = util::parseJson(line);
+  ASSERT_TRUE(doc.has_value()) << line;
+  const util::JsonValue& res = *doc->find("result");
+  const util::JsonValue& met = *res.find("metrics");
+  const util::JsonValue& ser = *res.find("series");
+  expectSame(res, "duration_ns", static_cast<double>(r.duration.ns()), 0,
+             line);
+  expectSame(res, "events_executed", static_cast<double>(r.eventsExecuted),
+             0, line);
+  expectSame(res, "sched_queue_peak", static_cast<double>(r.schedQueuePeak),
+             0, line);
+  expectSame(met, "data_originated",
+             static_cast<double>(r.metrics.dataOriginated), 0, line);
+  expectSame(ser, "period_ns", static_cast<double>(r.series.period.ns()), 0,
+             line);
+  const auto sameArray = [&](const util::JsonValue& obj, const char* key,
+                             const auto& got) {
+    const util::JsonArray& want = obj.find(key)->asArray();
+    ASSERT_EQ(want.size(), std::size(got)) << key << " in " << line;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(want[i].isNumber()) << key << "[" << i << "] in " << line;
+      EXPECT_EQ(want[i].asNumber(), static_cast<double>(got[i]))
+          << key << "[" << i << "] in " << line;
+    }
+  };
+  sameArray(met, "invalid_hits_by_origin", r.metrics.invalidCacheHitsByOrigin);
+  sameArray(ser, "t_s", r.series.timeSec);
+  sameArray(ser, "originated", r.series.originated);
+  sameArray(ser, "link_breaks", r.series.linkBreaks);
+}
+
+// Journal lines of every kind, mutated the way a torn write, a flipped bit
+// or a hand-edited file can: each line must load as a record whose integer
+// fields equal the JSON's, or count as corrupt. Never a wrapped value.
+TEST(JournalTest, SeededMutationsYieldEntriesOrCorruptLines) {
+  const fs::path path = fs::temp_directory_path() / "manet_journal_mut.jsonl";
+  fs::remove(path);
+  {
+    JournalWriter w(path.string());
+    CampaignInfo info;
+    info.plan = "tiny";
+    info.points = 2;
+    info.replications = 3;
+    info.cmd = "./bench --scale tiny";
+    ASSERT_TRUE(w.campaign(info));
+    JournalEntry done;
+    done.label = "p";
+    done.rep = 1;
+    done.key = "k";
+    done.status = "done";
+    done.attempts = 2;
+    done.resultJson = runResultToJournalJson(denseResult());
+    ASSERT_TRUE(w.cell(done));
+    JournalEntry failed = done;
+    failed.status = "failed";
+    failed.error = "boom";
+    failed.resultJson.clear();
+    ASSERT_TRUE(w.cell(failed));
+  }
+  std::vector<std::string> base;
+  {
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);) base.push_back(l);
+  }
+  ASSERT_EQ(base.size(), 3u);
+
+  const char* kFields[] = {"points",          "replications",
+                           "rep",             "attempts",
+                           "duration_ns",     "events_executed",
+                           "sched_queue_peak", "data_originated",
+                           "period_ns"};
+  const char* kArrays[] = {"invalid_hits_by_origin", "t_s", "originated",
+                           "link_breaks"};
+  const char* kValues[] = {"1e300", "-1", "1e20", "-1e300", "4294967296",
+                           "2147483648", "-2147483649",
+                           "18446744073709551616", "0.5", "1e999", "\"x\"",
+                           "null", "9223372036854775808"};
+  sim::Rng rng(20012);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t accepted = 0, corrupt = 0;
+  for (int i = 0; i < 1500; ++i) {
+    std::string line = base[pick(base.size())];
+    switch (pick(4)) {
+      case 0:  // truncation
+        line.resize(pick(line.size() + 1));
+        break;
+      case 1:  // byte flips
+        for (std::size_t f = pick(4) + 1; f > 0 && !line.empty(); --f) {
+          char& c = line[pick(line.size())];
+          c = static_cast<char>(c ^ (1 << pick(8)));
+        }
+        break;
+      case 2:  // huge, negative, fractional or mistyped integer fields
+        line = withField(line, kFields[pick(std::size(kFields))],
+                         kValues[pick(std::size(kValues))]);
+        break;
+      default:  // the same, as an array element
+        line = withField(line, kArrays[pick(std::size(kArrays))],
+                         std::string("[") + kValues[pick(std::size(kValues))]);
+        break;
+    }
+    if (line.empty() || line.find('\n') != std::string::npos) continue;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << line << '\n';
+    }
+    const JournalState s = loadJournal(path.string());
+    ASSERT_EQ(s.totalLines, 1u) << line;
+    if (s.corruptLines == 1) {
+      EXPECT_TRUE(s.campaigns.empty() && s.cells.empty()) << line;
+      ++corrupt;
+      continue;
+    }
+    ++accepted;
+    const auto doc = util::parseJson(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    for (const CampaignInfo& c : s.campaigns) {
+      expectSame(*doc, "points", static_cast<double>(c.points), 0, line);
+      expectSame(*doc, "replications", c.replications, 0, line);
+    }
+    for (const auto& [key, e] : s.cells) {
+      expectSame(*doc, "rep", e.rep, 0, line);
+      expectSame(*doc, "attempts", e.attempts, 1, line);
+      if (e.status != "done") continue;
+      std::string err;
+      if (const std::optional<RunResult> r =
+              runResultFromJournalJson(e.resultJson, &err)) {
+        expectFaithfulPayload(*r, line);
+      } else {
+        EXPECT_FALSE(err.empty()) << line;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(corrupt, 0u);
   fs::remove(path);
 }
 

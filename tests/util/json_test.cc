@@ -1,5 +1,5 @@
 // util::parseJson: the repo's one JSON reader (traces, journals,
-// BENCH_*.json, structured run exports).
+// structured run exports).
 #include <gtest/gtest.h>
 
 #include "src/util/json.h"

@@ -6,7 +6,6 @@
 namespace manet::cli {
 
 int traceMain(int argc, char** argv);  // JSONL trace analysis
-int profMain(int argc, char** argv);   // BENCH_*.json hotspot reports
 int ctlMain(int argc, char** argv);    // experiment journals
 
 }  // namespace manet::cli

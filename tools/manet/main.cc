@@ -2,8 +2,6 @@
 //
 //   manet trace <trace.jsonl> [...]   JSONL traces: summary, causal chains,
 //                                     stale-drop attribution, Perfetto export
-//   manet prof [...] <BENCH.json>     BENCH_*.json hotspot digest and the
-//                                     deterministic diff
 //   manet ctl <command> JOURNAL...    experiment journals: status, failures,
 //                                     resume command, aggregation
 //
@@ -19,7 +17,6 @@ int usage(int code) {
   std::fprintf(stderr,
                "usage: manet <subcommand> [args...]\n"
                "  trace  analyse a JSONL trace (MANET_TRACE_JSONL)\n"
-               "  prof   inspect or diff BENCH_*.json perf reports\n"
                "  ctl    inspect and aggregate experiment journals\n");
   return code;
 }
@@ -31,9 +28,6 @@ int main(int argc, char** argv) {
   const char* sub = argv[1];
   if (std::strcmp(sub, "trace") == 0) {
     return manet::cli::traceMain(argc - 1, argv + 1);
-  }
-  if (std::strcmp(sub, "prof") == 0) {
-    return manet::cli::profMain(argc - 1, argv + 1);
   }
   if (std::strcmp(sub, "ctl") == 0) {
     return manet::cli::ctlMain(argc - 1, argv + 1);
